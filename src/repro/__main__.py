@@ -1372,9 +1372,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["none", "bounded-queue", "token-bucket",
                                "adaptive"],
                       help="admission-control policy gating arrivals at "
-                           "the source NIC (default none; none keeps the "
-                           "report byte-identical to the unprotected "
-                           "engine)")
+                           "the source NIC (default none: admit "
+                           "everything)")
     load.add_argument("--queue-limit", type=int, default=64,
                       help="bounded-queue: max source-NIC backlog "
                            "admitted (default 64)")

@@ -137,8 +137,8 @@ class LoadResult:
             "stations": self.stations,
             "faults": self.faults.to_dict() if self.faults else None,
         }
-        # Only protected runs carry the overload section; unprotected
-        # reports stay byte-identical to the pre-protection engine.
+        # Only protected runs, and runs that broke a request, carry
+        # the overload section; other reports keep the plain format.
         if self.overload is not None:
             payload["overload"] = self.overload
         return payload
@@ -202,8 +202,6 @@ class LoadEngine:
         """
         node = self._homes.get(generator)
         if node is None:
-            from .workload import uniform
-
             node = int(
                 uniform(self.seed, "home", generator) * self.profile.nodes
             ) % self.profile.nodes
@@ -315,14 +313,18 @@ class LoadEngine:
         requests complete, so the latency distribution is never
         censored by the cut-off.
 
-        When the profile carries a non-noop
-        :class:`~repro.load.overload.OverloadSpec` (or any template
-        sets a deadline), the run switches to the *protected* event
-        path: admission control before pricing, bounded stations,
-        deadline shedding at pop time, and per-link circuit breakers.
-        The unprotected path executes exactly the pre-protection code —
-        same calls, same accounting — so protection-off reports are
-        byte-identical and pay no hot-path cost.
+        Every run takes the same event loop: admission control before
+        pricing, bounded stations, deadline shedding at pop time, and
+        per-link circuit breakers.  A profile without an
+        :class:`~repro.load.overload.OverloadSpec` runs under the
+        default no-op spec, whose parts do nothing: ``none`` admission
+        admits every arrival, stations are unbounded, no breaker board
+        is built and no deadline expires.  The run is *protected* when
+        the spec is not a no-op or any template sets a deadline.  That
+        flag only shapes the report: the ``overload`` section and the
+        per-station ``rejected``/``shed``/``shed_wait_ns`` tallies are
+        emitted for a protected run, or for any run in which a
+        transfer abort broke a request.
         """
         if horizon_ns <= 0.0:
             raise ModelError("load duration must be positive")
@@ -330,40 +332,29 @@ class LoadEngine:
         policy = policy_by_name(profile.dispatch, profile.nodes, self.seed)
         heappush, heappop = heapq.heappush, heapq.heappop
 
-        ospec = profile.overload
-        protected = (ospec is not None and not ospec.is_noop()) or any(
+        ospec = profile.overload or OverloadSpec()
+        protected = not ospec.is_noop() or any(
             template.deadline_ns > 0.0
             for spec in profile.generators
             for template in spec.templates
         )
-        if protected and ospec is None:
-            ospec = OverloadSpec()
-        admission = admission_by_name(ospec, self.seed) if protected else None
+        admission = admission_by_name(ospec, self.seed)
+        admit, observe = admission.admit, admission.observe
         board: Optional[BreakerBoard] = None
-        derate_trip = 0.0
-        retry_mode = False
-        retry_budget = 1.0
-        capacity: Optional[int] = None
-        if protected:
-            if ospec.breakers_enabled():
-                board = BreakerBoard(
-                    ospec.breaker_threshold,
-                    ospec.breaker_cooldown_ns,
-                    ospec.breaker_probes,
-                )
-                derate_trip = ospec.breaker_derate_trip
-            retry_mode = (
-                ospec.reject_retry == "backoff" and ospec.max_retries > 0
+        if ospec.breakers_enabled():
+            board = BreakerBoard(
+                ospec.breaker_threshold,
+                ospec.breaker_cooldown_ns,
+                ospec.breaker_probes,
             )
-            retry_budget = ospec.retry_budget
-            if self.faults is not None:
-                # The stricter of the load spec's and the fault plan's
-                # budgets wins: neither layer can retry-storm the other.
-                retry_budget = min(
-                    retry_budget, self.faults.retry.retry_budget
-                )
-            if ospec.station_capacity > 0:
-                capacity = ospec.station_capacity
+        derate_trip = ospec.breaker_derate_trip
+        retry_mode = ospec.reject_retry == "backoff" and ospec.max_retries > 0
+        retry_budget = ospec.retry_budget
+        if self.faults is not None:
+            # The stricter of the load spec's and the fault plan's
+            # budgets wins: neither layer can retry-storm the other.
+            retry_budget = min(retry_budget, self.faults.retry.retry_budget)
+        capacity = ospec.station_capacity or None
 
         stations: Dict[Tuple[int, str], Station] = {}
         for node in range(profile.nodes):
@@ -390,7 +381,6 @@ class LoadEngine:
         completed = 0
         events = 0
         end_ns = 0.0
-        # Protected-path accounting (untouched on the unprotected path).
         gen_counts: Dict[str, Dict[str, int]] = {
             spec.name: {
                 "offered": 0, "accepted": 0, "completed": 0,
@@ -398,7 +388,7 @@ class LoadEngine:
                 "retried": 0,
             }
             for spec in profile.generators
-        } if protected else {}
+        }
         inflight = 0
         retries_pending = 0
 
@@ -409,25 +399,6 @@ class LoadEngine:
                 return
             (node, kind), service_ns = request.legs[request.leg]
             station = stations[(node, kind)]
-            if not protected:
-                node_backlog[node] += 1
-                if station.idle:
-                    done_ns = station.start(now_ns, service_ns)
-                    heappush(heap, (
-                        done_ns, _DONE, request.identity, request.leg,
-                        request,
-                    ))
-                else:
-                    station.enqueue(
-                        now_ns, request.template.priority,
-                        request.identity, request,
-                    )
-                    if tracer is not None:
-                        tracer.observe(
-                            f"load.depth/{station.name}",
-                            float(station.depth()),
-                        )
-                return
             if station.idle:
                 node_backlog[node] += 1
                 done_ns = station.start(now_ns, service_ns)
@@ -464,41 +435,27 @@ class LoadEngine:
         def complete(now_ns: float, request: _Request) -> None:
             nonlocal completed, inflight
             completed += 1
+            inflight -= 1
             latency_ns = now_ns - request.arrival_ns
             latencies.record(latency_ns)
-            if protected:
-                inflight -= 1
-                gen_counts[request.generator]["completed"] += 1
-                admission.observe(now_ns, latency_ns)
+            gen_counts[request.generator]["completed"] += 1
+            observe(now_ns, latency_ns)
             if tracer is not None:
                 tracer.count("load.completed")
                 tracer.observe("load.latency_ns", latency_ns)
-            spec = spec_by_name[request.generator]
-            if isinstance(spec, ClosedLoopSpec):
-                issue = request.issue + 1
-                next_ns = now_ns + spec.think(
-                    self.seed, request.client, issue
-                )
-                if next_ns < horizon_ns:
-                    heappush(heap, (
-                        next_ns, _ARRIVE,
-                        (request.generator, request.client, issue), 0,
-                        (
-                            request.generator, request.client, issue,
-                            spec.pick(self.seed, request.client, issue),
-                        ),
-                    ))
-
-        # -- protected-path helpers (never called unprotected) ----------
+            continue_closed(
+                now_ns, request.generator, request.client, request.issue
+            )
 
         def continue_closed(
             now_ns: float, generator: str, client: int, issue: int
         ) -> None:
-            """Keep a closed-loop client alive past a dropped request.
+            """Reissue a closed-loop client's next request.
 
-            A closed loop reissues on completion; a request that is
-            rejected or shed never completes, so without this the
-            client would silently die and the loop would starve.
+            Called when a request completes, and also when one is
+            rejected or shed: that request never completes, so without
+            this the client would silently die and the loop would
+            starve.
             """
             spec = spec_by_name[generator]
             if not isinstance(spec, ClosedLoopSpec):
@@ -597,24 +554,6 @@ class LoadEngine:
             end_ns = time_ns
 
             if kind == _ARRIVE:
-                if not protected:
-                    generator, client, issue, template = payload
-                    offered += 1
-                    src = self._home(generator)
-                    dst = policy.pick(
-                        src, generator, client, template.name, node_backlog,
-                    )
-                    request = _Request(
-                        identity, generator, client, issue, template,
-                        time_ns,
-                    )
-                    request.legs, request.transit_ns, wire_at = (
-                        self._fill_route(template, src, dst)
-                    )
-                    request.wire_at = wire_at
-                    advance(time_ns, request)
-                    continue
-
                 generator, client, issue, template = payload[:4]
                 attempt = payload[4] if len(payload) > 4 else 0
                 counts = gen_counts[generator]
@@ -628,7 +567,7 @@ class LoadEngine:
                 src = self._home(generator)
                 verdict = None
                 route = None
-                if not admission.admit(
+                if not admit(
                     time_ns, stations[(src, _NIC)].backlog(), base_identity
                 ):
                     verdict = "rejected"
@@ -685,19 +624,17 @@ class LoadEngine:
                 enter_leg(time_ns, payload)
                 continue
 
-            # _DONE: free the station, pull the next waiter, advance.
+            # _DONE: free the station, shed expired waiters, start the
+            # next live one, advance.
             request = payload
             (node, station_kind), __ = request.legs[request.leg]
             station = stations[(node, station_kind)]
             station.release()
             node_backlog[node] -= 1
-            if protected:
-                expired, waiter = station.pop_live(time_ns)
-                for dead in expired:
-                    node_backlog[node] -= 1
-                    shed_request(time_ns, dead)
-            else:
-                waiter = station.pop(time_ns)
+            expired, waiter = station.pop_live(time_ns)
+            for dead in expired:
+                node_backlog[node] -= 1
+                shed_request(time_ns, dead)
             if waiter is not None:
                 enqueued_ns, next_request = waiter
                 wait_service = next_request.legs[next_request.leg][1]
@@ -713,15 +650,18 @@ class LoadEngine:
             request.leg += 1
             advance(time_ns, request)
 
+        totals = {
+            key: sum(counts[key] for counts in gen_counts.values())
+            for key in (
+                "accepted", "rejected", "evicted", "shed", "broken",
+                "retried",
+            )
+        }
+        # Aborted transfers surface the overload section even when no
+        # protection was asked for, so a broken request is never silent.
+        report_overload = protected or totals["broken"] > 0
         overload_summary: Optional[Dict[str, Any]] = None
-        if protected:
-            totals = {
-                key: sum(counts[key] for counts in gen_counts.values())
-                for key in (
-                    "accepted", "rejected", "evicted", "shed", "broken",
-                    "retried",
-                )
-            }
+        if report_overload:
             goodput = (
                 completed / end_ns * 1e9 if end_ns > 0.0 else 0.0
             )
@@ -749,7 +689,9 @@ class LoadEngine:
             completed=completed,
             latency=latencies.summary(),
             stations={
-                station.name: station.summary(end_ns, overload=protected)
+                station.name: station.summary(
+                    end_ns, overload=report_overload
+                )
                 for station in stations.values()
             },
             faults=self.faults,

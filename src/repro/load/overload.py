@@ -50,9 +50,9 @@ class OverloadSpec:
     """Overload-protection configuration for one load profile.
 
     The default instance is a no-op (:meth:`is_noop`): admission
-    ``none``, unbounded stations, breakers off — and the engine treats
-    a no-op spec exactly like no spec at all, so the protection-off
-    report stays byte-identical to the unprotected engine's.
+    ``none``, unbounded stations, breakers off.  The engine runs a
+    profile without a spec under this default, so a no-op spec and no
+    spec at all give byte-identical reports.
 
     Attributes:
         admission: One of :data:`ADMISSION_POLICIES`.
@@ -180,8 +180,8 @@ class OverloadSpec:
     def is_noop(self) -> bool:
         """True when this spec changes nothing about the engine.
 
-        A no-op spec is treated exactly like ``overload=None``, which
-        is what keeps ``--admission none`` byte-identical to PR 8.
+        A no-op spec reports exactly like ``overload=None``: no
+        ``overload`` section unless a transfer abort broke a request.
         """
         return (
             self.admission == "none"

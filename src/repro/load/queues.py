@@ -13,18 +13,20 @@ queue under a discipline — ``fifo`` (arrival order) or ``priority``
 priority) — with fully deterministic ordering: ties break on the
 request's content-derived identity, never on insertion order.
 
-Stations are unbounded by default — exactly the PR-8 behavior, on
-exactly the PR-8 code path (:meth:`enqueue` / :meth:`pop`).  The
-overload-protection layer (``docs/LOAD.md``) instead drives the
-bounded API:
+The engine drives every station through one API, whose bounds are
+off by default (``docs/LOAD.md``):
 
 * ``capacity`` bounds the *waiting line* (the request in service does
   not count); :meth:`offer` makes the deterministic reject-vs-accept
   decision at enqueue time, evicting the worst waiter on a full
-  ``priority`` station when the newcomer outranks it;
+  ``priority`` station when the newcomer outranks it.  With
+  ``capacity=None`` it always accepts;
 * :meth:`pop_live` sheds expired waiters — queue wait beyond the
   entry's deadline — at pop time, with exact accounting (``shed``,
-  ``shed_wait_ns``).
+  ``shed_wait_ns``).  An entry without a deadline never expires.
+
+:meth:`enqueue` and :meth:`pop` are the plain unbounded pair, kept for
+direct callers; the engine does not use them.
 
 Accounting is exact, not sampled: busy time integrates utilization and
 the queue-depth integral yields the time-averaged depth; reject and
@@ -38,9 +40,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Station"]
 
-#: Queue entry: (priority, enqueue_ns, request identity, payload) on
-#: the unbounded path; the bounded path appends a fifth element, the
-#: entry's deadline_ns (0.0 = none).  Both shapes share indices 0-3.
+#: Queue entry: (priority, enqueue_ns, request identity, payload) from
+#: :meth:`Station.enqueue`; :meth:`Station.offer` appends a fifth
+#: element, the entry's deadline_ns (0.0 = none).  Both shapes share
+#: indices 0-3.
 _Entry = Tuple[Any, ...]
 
 
@@ -51,8 +54,7 @@ class Station:
         name: Reporting label, e.g. ``"node3/nic"``.
         discipline: ``"fifo"`` or ``"priority"``.
         capacity: Waiting-line bound consulted by :meth:`offer`
-            (``None`` = unbounded; the plain :meth:`enqueue` path
-            never checks it).
+            (``None`` = unbounded; :meth:`enqueue` never checks it).
     """
 
     def __init__(
@@ -90,7 +92,7 @@ class Station:
         identity: Tuple[int, int],
         payload: Any,
     ) -> None:
-        """Add a request to the waiting line (unbounded fast path).
+        """Add a request to the waiting line, ignoring ``capacity``.
 
         ``identity`` is the request's ``(generator, sequence)`` pair —
         a content-derived key, so two stations fed the same requests in
@@ -208,9 +210,10 @@ class Station:
     ) -> Dict[str, Any]:
         """Exact utilization / depth statistics over ``duration_ns``.
 
-        ``overload=True`` (the protected engine) adds the bounded-path
-        tallies — ``rejected`` / ``shed`` / ``shed_wait_ns`` — keeping
-        the unprotected report byte-identical to PR 8.
+        ``overload=True`` (a report carrying the ``overload`` section)
+        adds the bounded-path tallies — ``rejected`` / ``shed`` /
+        ``shed_wait_ns``; without it the summary keeps the plain
+        format.
         """
         self._account_depth(duration_ns)
         span = duration_ns if duration_ns > 0.0 else 1.0

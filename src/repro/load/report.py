@@ -13,15 +13,16 @@ The load CLI emits one JSON object per run.  The CI load job replays
   (nearest-rank percentiles over completed requests);
 * ``throughput`` — ``{completed, requests_per_s}``;
 * ``stations`` — per-station ``{served, busy_ns, utilization,
-  mean_depth, max_depth}``; protected runs add ``rejected`` / ``shed``
-  / ``shed_wait_ns``;
+  mean_depth, max_depth}``; reports that carry ``overload`` add
+  ``rejected`` / ``shed`` / ``shed_wait_ns``;
 * ``faults`` — the composed fault plan, or ``null`` when healthy;
-* ``overload`` — *only* on protected runs: the versioned
-  ``repro-load-overload/1`` section with the protection spec, the
-  admission policy's self-description, per-generator accept / reject /
-  shed / broken / retry tallies, goodput, and per-link breaker states.
-  Unprotected reports omit the key entirely, keeping them
-  byte-identical to the pre-protection format.
+* ``overload`` — on protected runs (a non-noop overload spec or any
+  template deadline) and on any run in which a transfer abort broke a
+  request: the versioned ``repro-load-overload/1`` section with the
+  protection spec, the admission policy's self-description,
+  per-generator accept / reject / shed / broken / retry tallies,
+  goodput, and per-link breaker states.  Other reports omit the key
+  entirely, keeping the format of a run without protection.
 
 Wall-clock facts (events/sec, elapsed seconds) are *not* part of the
 payload: the canonical JSON below must be bit-identical across

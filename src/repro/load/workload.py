@@ -76,9 +76,9 @@ class RequestTemplate:
         priority: Queueing priority — lower runs first under the
             ``priority`` discipline; ties fall back to arrival order.
         deadline_ns: Maximum *queue wait* a request of this shape will
-            tolerate at any one station before the protected engine
-            sheds it at pop time (0 = no deadline).  Ignored — at zero
-            cost — by the unprotected engine.
+            tolerate at any one station before the engine sheds it at
+            pop time (0 = no deadline).  Any positive deadline makes
+            the run protected.
     """
 
     name: str
@@ -272,9 +272,9 @@ class LoadProfile:
             ``"priority"``.
         congestion: Network congestion the pricing transfers assume.
         overload: Optional overload-protection configuration
-            (:class:`~repro.load.overload.OverloadSpec`).  ``None`` —
-            and a spec whose :meth:`~OverloadSpec.is_noop` is true —
-            leaves the engine on the exact unprotected code path.
+            (:class:`~repro.load.overload.OverloadSpec`).  ``None``
+            runs under the default no-op spec, which admits everything
+            and leaves stations unbounded and breakers off.
     """
 
     name: str

@@ -113,6 +113,24 @@ class TestOverloadFlags:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_transfer_aborts_report_as_broken_without_protection(
+        self, capsys, tmp_path
+    ):
+        plan = tmp_path / "lossy.json"
+        plan.write_text(json.dumps({
+            "seed": 3,
+            "fragments": [{"loss": 0.9}],
+            "retry": {"max_attempts": 1},
+        }))
+        assert main([
+            "load", "--profile", "steady", "--duration", "0.001",
+            "--plan", str(plan), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("digest")
+        assert validate_load_report(payload) == []
+        assert payload["overload"]["totals"]["broken"] > 0
+
     def test_human_output_mentions_protection(self, capsys):
         assert main([
             "load", "--seed", "7", "--duration", "0.005",

@@ -102,6 +102,25 @@ class TestFaults:
         payload = result.to_dict()
         assert payload["faults"] == plan.to_dict()
         assert validate_load_report(payload) == []
+        # The chaos plan breaks no request, so no overload section.
+        assert "overload" not in payload
+
+    def test_aborted_transfers_count_as_broken_without_protection(self):
+        plan = FaultPlan.from_dict({
+            "seed": 3,
+            "fragments": [{"loss": 0.9}],
+            "retry": {"max_attempts": 1},
+        })
+        result = LoadEngine(_steady(), seed=7, faults=plan).run(1_000_000.0)
+        payload = result.to_dict()
+        assert validate_load_report(payload) == []
+        section = payload["overload"]
+        assert section["admission"] == {"policy": "none"}
+        assert section["totals"]["broken"] > 0
+        assert section["totals"]["broken"] == result.offered
+        assert all(
+            "rejected" in summary for summary in payload["stations"].values()
+        )
 
 
 class TestBackpressure:

@@ -1,9 +1,11 @@
 """Overload protection: specs, admission policies, engine behavior.
 
-The two invariants this file pins hardest:
+The invariants this file pins hardest:
 
 * protection OFF is a no-op — seed-7 reports are *byte-identical* to
   the pre-protection engine (digests pinned below);
+* protection ON replays its pinned seed-7 digests, so the one event
+  loop both share cannot drift on either side;
 * protection ON bounds the tail — at 3x capacity the unprotected p99
   grows with duration while the bounded-queue p99 stays put.
 """
@@ -13,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.core.errors import LoadError
+from repro.faults import FaultPlan, FragmentFault, RetryPolicy
 from repro.load import (
     LoadEngine,
     OverloadSpec,
@@ -38,6 +41,21 @@ _PINNED = {
 }
 
 
+#: Canonical seed-7 digests of protected runs (see ``_RUNS``), measured
+#: when protected and unprotected runs still took separate event loops.
+_PINNED_PROTECTED = {
+    "capacity16-backoff":
+        "cb56bab147e029b3a47a5c9013057b253e3ecb564e0ea9b88f1adcb3fd5dee0d",
+    # Priority discipline at capacity: exercises eviction.
+    "bursty-capacity8":
+        "1d9df663e223813cb492431d84584ae6fec11fb15e74a59aea1a3ac406defb63",
+    "breakers-lossy":
+        "84deeb5755856c3405a9842a0f242b4d2b150138e46b2d2627fc60f7f97e61fc",
+    "deadlines":
+        "a7b03d3bd68ad41c7748c64f8fee1b352e8ed90974704acccda265e8f0c8dc94",
+}
+
+
 def _protected(name="steady", multiplier=3.2, **spec_kwargs):
     spec_kwargs.setdefault("admission", "bounded-queue")
     spec_kwargs.setdefault("queue_limit", 32)
@@ -45,6 +63,60 @@ def _protected(name="steady", multiplier=3.2, **spec_kwargs):
         profile_by_name(name).scaled(multiplier),
         overload=OverloadSpec(**spec_kwargs),
     )
+
+
+def _lossy_plan(max_attempts=2, retry_budget=0.5):
+    return FaultPlan(
+        seed=3,
+        fragments=(FragmentFault(loss=0.9),),
+        retry=RetryPolicy(
+            max_attempts=max_attempts, retry_budget=retry_budget
+        ),
+    )
+
+
+def _breaker_profile():
+    return _protected(breaker_threshold=2, breaker_cooldown_ns=2e6)
+
+
+def _deadline_profile():
+    profile = profile_by_name("steady").scaled(3.2)
+    return dataclasses.replace(
+        profile,
+        open_loops=tuple(
+            dataclasses.replace(spec, templates=tuple(
+                dataclasses.replace(t, deadline_ns=2_000_000.0)
+                for t in spec.templates
+            ))
+            for spec in profile.open_loops
+        ),
+    )
+
+
+#: Seed-7 runs the pinned digests and the accounting laws are held to.
+_RUNS = {
+    "capacity16": lambda: LoadEngine(
+        _protected(station_capacity=16), seed=7
+    ).run(_HORIZON),
+    "capacity16-backoff": lambda: LoadEngine(
+        _protected(station_capacity=16, reject_retry="backoff"), seed=7
+    ).run(_HORIZON),
+    "bursty-capacity8": lambda: LoadEngine(
+        _protected("bursty", station_capacity=8), seed=7
+    ).run(_HORIZON),
+    "breakers-lossy": lambda: LoadEngine(
+        _breaker_profile(), seed=7, faults=_lossy_plan()
+    ).run(_HORIZON * 2),
+    "deadlines": lambda: LoadEngine(
+        _deadline_profile(), seed=7
+    ).run(_HORIZON * 2),
+    # No protection asked for: every pricing attempt aborts, and each
+    # abort must count as broken rather than end the run.
+    "unprotected-abort": lambda: LoadEngine(
+        profile_by_name("steady"), seed=7,
+        faults=_lossy_plan(max_attempts=1, retry_budget=1.0),
+    ).run(1_000_000.0),
+}
 
 
 class TestOverloadSpec:
@@ -175,6 +247,14 @@ class TestProtectionOffIdentity:
         assert noop.canonical_json() == plain.canonical_json()
 
 
+class TestProtectedDigests:
+    @pytest.mark.parametrize("name", sorted(_PINNED_PROTECTED))
+    def test_protected_digest_is_pinned(self, name):
+        result = _RUNS[name]()
+        assert result.digest() == _PINNED_PROTECTED[name]
+        assert "overload" in result.to_dict()
+
+
 class TestProtectedEngine:
     def test_bounded_queue_rejects_and_bounds_p99(self):
         protected = LoadEngine(_protected(), seed=7).run(_HORIZON * 2)
@@ -213,11 +293,9 @@ class TestProtectedEngine:
         assert validate_load_report(payload) == []
         assert payload["overload"]["schema"] == "repro-load-overload/1"
 
-    def test_accounting_balances(self):
-        result = LoadEngine(
-            _protected(station_capacity=16), seed=7
-        ).run(_HORIZON)
-        section = result.to_dict()["overload"]
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_accounting_balances(self, name):
+        section = _RUNS[name]().to_dict()["overload"]
         for counts in section["generators"].values():
             # Every offered or retried arrival was accepted, rejected,
             # or broken — nothing vanishes at the door.
@@ -234,19 +312,7 @@ class TestProtectedEngine:
             )
 
     def test_deadlines_shed_with_exact_station_accounting(self):
-        profile = profile_by_name("steady").scaled(3.2)
-        deadline = dataclasses.replace(
-            profile,
-            open_loops=tuple(
-                dataclasses.replace(spec, templates=tuple(
-                    dataclasses.replace(t, deadline_ns=2_000_000.0)
-                    for t in spec.templates
-                ))
-                for spec in profile.open_loops
-            ),
-        )
-        result = LoadEngine(deadline, seed=7).run(_HORIZON * 2)
-        payload = result.to_dict()
+        payload = _RUNS["deadlines"]().to_dict()
         totals = payload["overload"]["totals"]
         assert totals["shed"] > 0
         station_sheds = sum(
@@ -285,14 +351,8 @@ class TestProtectedEngine:
         assert retry.completed > drop.completed
 
     def test_breakers_open_under_a_lossy_fault_plan(self):
-        from repro.faults import FaultPlan, FragmentFault, RetryPolicy
-
-        plan = FaultPlan(
-            seed=3,
-            fragments=(FragmentFault(loss=0.9),),
-            retry=RetryPolicy(max_attempts=2, retry_budget=0.5),
-        )
-        profile = _protected(breaker_threshold=2, breaker_cooldown_ns=2e6)
+        plan = _lossy_plan()
+        profile = _breaker_profile()
         result = LoadEngine(profile, seed=7, faults=plan).run(_HORIZON * 2)
         section = result.to_dict()["overload"]
         assert section["totals"]["broken"] > 0
