@@ -141,7 +141,8 @@ def partition_into_phases(flows: Sequence[Flow]) -> List[Phase]:
 
 
 #: Cache of scheduled-congestion results: the per-flow routing work is
-#: the slow part and patterns repeat across styles and benches.
+#: the slow part and patterns repeat across styles and benches.  Keyed
+#: on the flows *in order*: the greedy partition depends on it.
 _SCHEDULED_CACHE: Dict = {}
 
 
@@ -152,7 +153,7 @@ def scheduled_congestion(topology: Topology, flows: Sequence[Flow]) -> float:
         topology.dims,
         topology.wrap,
         topology.routing_key(),
-        tuple(sorted(set(flows))),
+        tuple(flows),
     )
     cached = _SCHEDULED_CACHE.get(key)
     if cached is None:

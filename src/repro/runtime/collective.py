@@ -25,9 +25,39 @@ from ..faults.spec import FaultPlan, current_fault_plan
 from ..trace.tracer import current_tracer
 from .engine import CommRuntime, MeasuredTransfer
 
-__all__ = ["StepResult", "CommunicationStep"]
+__all__ = ["StepResult", "CommunicationStep", "steady_state_ns"]
 
 Flow = Tuple[int, int]
+
+
+def steady_state_ns(
+    sample: MeasuredTransfer,
+    nbytes: int,
+    runtime_efficiency: float,
+    sync_per_message_ns: float,
+) -> float:
+    """Per-message cost of ``nbytes`` once a message stream is pipelined.
+
+    Every node both sends and receives, and a node has one processor,
+    so its send-side and receive-side software costs land on the same
+    resource and add up; background engines and the wire overlap.  The
+    bottleneck's busy time is scaled from the sample's size to
+    ``nbytes`` (costs are near-linear within a 2x size bucket; the
+    factor is exactly 1 when the sizes match).  Each message also pays
+    a synchronization cost (partner switch, flow-control handshake)
+    that cannot be pipelined away.
+    """
+    busy = dict(sample.resource_busy_ns)
+    cpu = busy.pop("sender_cpu", 0.0) + busy.pop("receiver_cpu", 0.0)
+    # NB: not ``max([cpu] + list(...) or [fallback])`` — ``+`` binds
+    # tighter than ``or``, which made the fallback dead code.  An
+    # all-zero busy profile (fully hardware-paced transfer) must fall
+    # back to the end-to-end time, not a 0 ns bottleneck.
+    bottleneck = max([cpu, *busy.values()])
+    if bottleneck <= 0.0:
+        bottleneck = sample.ns
+    scaled = bottleneck * (nbytes / sample.nbytes)
+    return scaled / runtime_efficiency + sync_per_message_ns
 
 
 @dataclass(frozen=True)
@@ -175,28 +205,6 @@ class CommunicationStep:
             max(sends.get(node, 0), receives.get(node, 0)) for node in nodes
         )
 
-    def _steady_state_ns(self, sample: MeasuredTransfer) -> float:
-        """Per-message cost once the message stream is pipelined.
-
-        Every node both sends and receives, and a node has one
-        processor, so its send-side and receive-side software costs
-        land on the same resource and add up; background engines and
-        the wire overlap.  Each message also pays a synchronization
-        cost (partner switch, flow-control handshake) that cannot be
-        pipelined away.
-        """
-        busy = dict(sample.resource_busy_ns)
-        cpu = busy.pop("sender_cpu", 0.0) + busy.pop("receiver_cpu", 0.0)
-        # NB: not ``max([cpu] + list(...) or [fallback])`` — ``+`` binds
-        # tighter than ``or``, which made the fallback dead code.  An
-        # all-zero busy profile (fully hardware-paced transfer) must
-        # fall back to the end-to-end time, not a 0 ns bottleneck.
-        bottleneck = max([cpu, *busy.values()])
-        if bottleneck <= 0.0:
-            bottleneck = sample.ns
-        efficiency = self.runtime.machine.quirks.runtime_efficiency
-        return bottleneck / efficiency + self.sync_per_message_ns
-
     def run(self, style: OperationStyle = OperationStyle.CHAINED) -> StepResult:
         """Execute the step and report per-node throughput."""
         plan = self._fault_plan()
@@ -218,7 +226,12 @@ class CommunicationStep:
         )
         # The first message pays full end-to-end latency; subsequent
         # messages pipeline behind it at the steady-state cost.
-        steady_ns = self._steady_state_ns(sample)
+        steady_ns = steady_state_ns(
+            sample,
+            sample.nbytes,
+            self.runtime.machine.quirks.runtime_efficiency,
+            self.sync_per_message_ns,
+        )
         step_ns = sample.ns + self.sync_per_message_ns + (messages - 1) * steady_ns
         bytes_per_node = self.bytes_per_flow * messages
         tracer = current_tracer()

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..machines.cluster import ClusterMachine
+from ..trace.tracer import current_tracer
 from .collective import CommunicationStep, StepResult
 from .engine import CommRuntime
 
@@ -261,17 +262,28 @@ def run_collective(
             # inter-node round divides the NIC between them.
             contention = machine.nic_contention(cores)
 
+    # A step's result is a pure function of its round within one call
+    # (same runtime, style and fault scope), so untraced runs price
+    # each distinct round once: the ring's 2(n-1) identical rounds are
+    # one step.  A traced run executes every round so each one's
+    # phases appear in the trace.
+    reuse = current_tracer() is None
+    priced: Dict[CollectiveRound, StepResult] = {}
     results = []
     round_ns = []
     for current in rounds:
-        step = CommunicationStep(
-            runtime,
-            current.flows,
-            read,
-            write,
-            current.bytes_per_flow,
-        )
-        result = step.run(style)
+        result = priced.get(current) if reuse else None
+        if result is None:
+            step = CommunicationStep(
+                runtime,
+                current.flows,
+                read,
+                write,
+                current.bytes_per_flow,
+            )
+            result = step.run(style)
+            if reuse:
+                priced[current] = result
         results.append(result)
         round_ns.append(result.step_ns * contention)
 

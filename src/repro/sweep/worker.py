@@ -73,12 +73,21 @@ def machine_by_key(name: str):
 
 def reset_memos() -> None:
     """Drop every worker-local memo (benchmarks call this for honesty:
-    a forked worker must not inherit tables its parent already built)."""
+    a forked worker must not inherit tables its parent already built).
+
+    This includes the process-wide pipeline and scheduled-congestion
+    memos the runtime keeps, so an unbatched serial run really starts
+    every cell from nothing."""
+    from ..netsim.schedule import _SCHEDULED_CACHE
+    from ..runtime.stages import _untraced_run
+
     _machines.clear()
     _models.clear()
     _runtimes.clear()
     _tables.clear()
     _nodes.clear()
+    _untraced_run.cache_clear()
+    _SCHEDULED_CACHE.clear()
 
 
 def pinned_environment() -> Dict[str, str]:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.netsim.patterns import all_to_all, cyclic_shift
+from repro.machines import t3d
+from repro.netsim import schedule as schedule_module
 from repro.netsim.schedule import (
     aapc_phases_shift,
     aapc_phases_xor,
@@ -107,3 +109,19 @@ class TestPartition:
         second = scheduled_congestion(torus, all_to_all(16))
         assert first == second
         assert first <= 2
+
+    def test_cached_congestion_ignores_call_order(self, monkeypatch):
+        """Regression: the cache key sorted the flows, but the greedy
+        partition depends on their order, so whichever ordering ran
+        first decided the answer for every later ordering."""
+        topology = t3d().topology(8)
+        forward = [(6, 1), (2, 0), (3, 2), (4, 1), (0, 6)]
+        backward = list(reversed(forward))
+        for first, second in ((forward, backward), (backward, forward)):
+            monkeypatch.setattr(schedule_module, "_SCHEDULED_CACHE", {})
+            answers = {
+                tuple(first): scheduled_congestion(topology, first),
+                tuple(second): scheduled_congestion(topology, second),
+            }
+            assert answers[tuple(forward)] == 2.0
+            assert answers[tuple(backward)] == 1.0

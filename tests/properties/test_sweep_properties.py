@@ -20,6 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.runtime.collectives import ALGORITHMS, COLLECTIVE_OPS
 from repro.sweep import (
     NOMINAL_SEED,
     SweepSpec,
@@ -90,6 +91,39 @@ def transfer_specs(draw):
     )
 
 
+@st.composite
+def collective_specs(draw):
+    """Small random collective grids: every op, the selector and the
+    concrete algorithms, odd node counts, nominal and chaos seeds."""
+    machines = draw(st.sampled_from([("t3d",), ("cluster",), ("xe",)]))
+    ops = tuple(
+        draw(
+            st.lists(
+                st.sampled_from(COLLECTIVE_OPS),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+    )
+    algorithms = ("auto",) + tuple(
+        algorithm for op in ops for algorithm in ALGORITHMS[op]
+    )
+    nodes = (draw(st.integers(min_value=2, max_value=12)),)
+    sizes = (draw(st.sampled_from([1024, 65536])),)
+    seeds = draw(st.sampled_from([(), (NOMINAL_SEED, 7), (11,)]))
+    return SweepSpec(
+        kind="collective",
+        machines=machines,
+        ops=ops,
+        algorithms=algorithms,
+        sizes=sizes,
+        nodes=nodes,
+        seeds=seeds,
+        rates="paper",
+    )
+
+
 class TestDeterministicMerge:
     @SLOW_SETTINGS
     @given(spec=transfer_specs(), workers=st.sampled_from([2, 4]))
@@ -116,11 +150,14 @@ class TestDeterministicMerge:
         assert shuffled.digest() == reference
 
     @SLOW_SETTINGS
-    @given(spec=transfer_specs())
-    def test_batching_cannot_change_results(self, spec):
-        cold = run_serial(spec, batched=False)
-        warm = run_serial(spec, batched=True)
-        assert cold.canonical_json() == warm.canonical_json()
+    @given(spec=transfer_specs(), collective=collective_specs())
+    def test_batching_cannot_change_results(self, spec, collective):
+        # Cold: every cell starts from empty memos, the pipeline and
+        # scheduled-congestion memos included.  Warm: they persist.
+        for grid in (spec, collective):
+            cold = run_serial(grid, batched=False)
+            warm = run_serial(grid, batched=True)
+            assert cold.canonical_json() == warm.canonical_json()
 
     @SLOW_SETTINGS
     @given(spec=transfer_specs())

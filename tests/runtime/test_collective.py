@@ -5,7 +5,7 @@ import pytest
 from repro.core.operations import OperationStyle
 from repro.core.patterns import CONTIGUOUS, strided
 from repro.netsim.patterns import all_to_all, cyclic_shift
-from repro.runtime.collective import CommunicationStep
+from repro.runtime.collective import CommunicationStep, steady_state_ns
 from repro.runtime.engine import CommRuntime
 
 
@@ -124,27 +124,42 @@ class TestSteadyStateFallback:
             resource_busy_ns=busy,
         )
 
+    SYNC_NS = 20_000.0
+
+    def _steady(self, runtime, sample):
+        return steady_state_ns(
+            sample,
+            sample.nbytes,
+            runtime.machine.quirks.runtime_efficiency,
+            self.SYNC_NS,
+        )
+
     def test_zero_busy_falls_back_to_end_to_end(self, runtime):
-        probe = step(runtime, all_to_all(4))
         sample = self._sample(runtime, busy=(("network", 0.0),))
-        steady = probe._steady_state_ns(sample)
         efficiency = runtime.machine.quirks.runtime_efficiency
-        assert steady == pytest.approx(
-            sample.ns / efficiency + probe.sync_per_message_ns
+        assert self._steady(runtime, sample) == pytest.approx(
+            sample.ns / efficiency + self.SYNC_NS
         )
 
     def test_empty_busy_falls_back_too(self, runtime):
-        probe = step(runtime, all_to_all(4))
         sample = self._sample(runtime, busy=())
-        assert probe._steady_state_ns(sample) > probe.sync_per_message_ns
+        assert self._steady(runtime, sample) > self.SYNC_NS
 
     def test_nonzero_busy_still_used(self, runtime):
-        probe = step(runtime, all_to_all(4))
         sample = self._sample(
             runtime,
             busy=(("network", 30_000.0), ("sender_cpu", 10_000.0)),
         )
         efficiency = runtime.machine.quirks.runtime_efficiency
-        assert probe._steady_state_ns(sample) == pytest.approx(
-            30_000.0 / efficiency + probe.sync_per_message_ns
+        assert self._steady(runtime, sample) == pytest.approx(
+            30_000.0 / efficiency + self.SYNC_NS
         )
+
+    def test_size_scaling_matches_the_plan_step(self, runtime):
+        """One helper serves both executors: a plan step's message of
+        half the sampled size costs half the bottleneck."""
+        sample = self._sample(runtime, busy=(("network", 30_000.0),))
+        efficiency = runtime.machine.quirks.runtime_efficiency
+        assert steady_state_ns(
+            sample, sample.nbytes // 2, efficiency, 0.0
+        ) == 15_000.0 / efficiency

@@ -1,11 +1,15 @@
 """Collective operations: round lowering, execution, hierarchy."""
 
+import contextlib
 import math
 
 import pytest
 
 from repro.core.errors import ModelError
-from repro.machines import cluster, t3d, xe
+from repro.core.patterns import AccessPattern
+from repro.faults import FaultPlan, injecting
+from repro.machines import cluster, paragon, t3d, xe
+from repro.runtime.collective import CommunicationStep
 from repro.runtime.collectives import (
     ALGORITHMS,
     COLLECTIVE_OPS,
@@ -13,6 +17,7 @@ from repro.runtime.collectives import (
     run_collective,
 )
 from repro.runtime.engine import CommRuntime
+from repro.trace import tracing
 
 
 def _runtime(factory):
@@ -135,3 +140,82 @@ class TestRunCollective:
         factor = flat.nic_contention
         for charged, step in zip(flat.round_ns, flat.rounds):
             assert charged == step.step_ns * factor
+
+
+def _counting_step_runs(monkeypatch):
+    """Count CommunicationStep.run calls without changing them."""
+    calls = []
+    original = CommunicationStep.run
+
+    def counted(self, *args, **kwargs):
+        calls.append((tuple(self.flows), self.bytes_per_flow))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CommunicationStep, "run", counted)
+    return calls
+
+
+def _unshared_rounds(runtime, op, algorithm, nodes, nbytes):
+    """Every round run as its own step: the collective with reuse off.
+
+    Mirrors :func:`run_collective` on flat (non-cluster) runs, where
+    the total is the plain sum of the rounds.
+    """
+    read = AccessPattern.parse("1")
+    rounds = tuple(
+        CommunicationStep(
+            runtime, current.flows, read, read, current.bytes_per_flow
+        ).run()
+        for current in collective_rounds(op, algorithm, nodes, nbytes)
+    )
+    return rounds, tuple(result.step_ns for result in rounds)
+
+
+class TestRoundReuse:
+    """Untraced collectives price each distinct round once; traced
+    ones run every round.  Either way the numbers cannot move."""
+
+    def test_ring_prices_its_one_distinct_round_once(self, monkeypatch):
+        runtime = _runtime(t3d)
+        calls = _counting_step_runs(monkeypatch)
+        untraced = run_collective(runtime, "allreduce", "ring", 9, 65536)
+        assert len(untraced.rounds) == 16
+        assert len(calls) == 1
+
+        calls.clear()
+        with tracing() as tracer:
+            traced = run_collective(runtime, "allreduce", "ring", 9, 65536)
+        assert len(calls) == 16
+        assert tracer.metrics.counter("step.runs") == 16
+        assert traced.total_ns == untraced.total_ns
+        assert traced.round_ns == untraced.round_ns
+        assert traced.rounds == untraced.rounds
+
+    def test_one_call_per_distinct_round(self, monkeypatch):
+        runtime = _runtime(xe)
+        calls = _counting_step_runs(monkeypatch)
+        rounds = collective_rounds("alltoall", "pairwise-exchange", 12, 8192)
+        run_collective(runtime, "alltoall", "pairwise-exchange", 12, 8192)
+        assert sorted(calls) == sorted(
+            {(current.flows, current.bytes_per_flow) for current in rounds}
+        )
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("standing", [False, True])
+    @pytest.mark.parametrize("factory", [t3d, paragon, xe])
+    def test_fault_plans_match_reuse_off(self, factory, seed, standing):
+        plan = FaultPlan.chaos(seed)
+        runtime = CommRuntime(
+            factory(), rates="paper", faults=plan if standing else None
+        )
+        scope = contextlib.nullcontext() if standing else injecting(plan)
+        with scope:
+            for op, algorithms in ALGORITHMS.items():
+                for algorithm in algorithms:
+                    result = run_collective(runtime, op, algorithm, 9, 4096)
+                    rounds, round_ns = _unshared_rounds(
+                        runtime, op, algorithm, 9, 4096
+                    )
+                    assert result.rounds == rounds
+                    assert result.round_ns == round_ns
+                    assert result.total_ns == math.fsum(round_ns)

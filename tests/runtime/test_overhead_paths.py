@@ -139,6 +139,31 @@ class TestTraceOffFastExit:
         assert traced.stage_busy_ns == bare.stage_busy_ns
         assert len(tracer.spans(category="stage")) == 16  # 8 chunks x 2
 
+    def test_memo_hit_cannot_swallow_a_traced_transfer(self, machine):
+        """A traced run bypasses the pipeline memo: after the same
+        transfer ran untraced (memo warm), tracing it still emits every
+        chunk span and resource-wait sample a cold traced run does."""
+        from repro.runtime.stages import _untraced_run
+
+        runtime = CommRuntime(machine)
+        _untraced_run.cache_clear()
+        with tracing() as cold:
+            cold_result = runtime.transfer(CONTIGUOUS, _Y, _BYTES)
+        assert _untraced_run.cache_info().currsize == 0  # not filled
+
+        bare = runtime.transfer(CONTIGUOUS, _Y, _BYTES)
+        runtime.transfer(CONTIGUOUS, _Y, _BYTES)
+        info = _untraced_run.cache_info()
+        assert info.hits and info.currsize
+        with tracing() as warm:
+            warm_result = runtime.transfer(CONTIGUOUS, _Y, _BYTES)
+        assert _untraced_run.cache_info() == info  # not read either
+
+        assert warm_result == cold_result == bare
+        assert warm.spans(category="stage")
+        assert warm.spans() == cold.spans()
+        assert warm.metrics.snapshot() == cold.metrics.snapshot()
+
 
 @pytest.mark.slow
 class TestInterleavedOverhead:

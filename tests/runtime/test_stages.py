@@ -1,8 +1,10 @@
 """Tests for the chunked stage pipeline (repro.runtime.stages)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.runtime.stages import Stage, StagePipeline
+from repro.runtime.stages import Stage, StagePipeline, _chunk_sizes
 
 
 def run(stages, nbytes=1 << 20, chunk=8192):
@@ -138,3 +140,54 @@ class TestValidation:
             pipeline.run(0)
         with pytest.raises(ValueError):
             pipeline.run(100, chunk_bytes=0)
+
+
+@st.composite
+def pipelines(draw):
+    """Random stage lists: shared and distinct resources, duplicate
+    names, per-chunk overheads and startups."""
+    count = draw(st.integers(min_value=1, max_value=5))
+    return [
+        Stage(
+            name=draw(st.sampled_from(["gather", "send", "net", "recv"])),
+            rate_mbps=draw(st.floats(min_value=1.0, max_value=2000.0)),
+            resource=draw(st.sampled_from(["cpu", "net", "deposit"])),
+            chunk_overhead_ns=draw(st.floats(min_value=0.0, max_value=1e4)),
+            startup_ns=draw(st.floats(min_value=0.0, max_value=1e6)),
+        )
+        for __ in range(count)
+    ]
+
+
+class TestMemo:
+    """The untraced path answers from a process-wide memo; every hit
+    must equal the recurrence run from scratch, bit for bit."""
+
+    @given(
+        stages=pipelines(),
+        nbytes=st.integers(min_value=1, max_value=1 << 18),
+        chunk=st.integers(min_value=1, max_value=1 << 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hit_equals_fresh_recurrence(self, stages, nbytes, chunk):
+        pipeline = StagePipeline(stages)
+        pipeline.run(nbytes, chunk_bytes=chunk)  # fill
+        hit = StagePipeline(list(stages)).run(nbytes, chunk_bytes=chunk)
+
+        busy = [0.0] * len(stages)
+        finish = StagePipeline(stages)._run_untraced(
+            _chunk_sizes(nbytes, chunk), busy
+        )
+        assert hit.ns == finish
+        assert hit.nbytes == nbytes
+        assert hit.stage_busy_ns == dict(zip(pipeline.labels, busy))
+
+    def test_mutating_a_result_cannot_change_a_later_hit(self):
+        stages = [Stage("send", 100.0, "cpu"), Stage("net", 50.0, "net")]
+        first = run(stages)
+        expected = dict(first.stage_busy_ns)
+        first.stage_busy_ns["send"] = -1.0
+        first.stage_busy_ns["bogus"] = 0.0
+        again = run(stages)
+        assert again.stage_busy_ns == expected
+        assert again.stage_busy_ns is not first.stage_busy_ns

@@ -151,12 +151,24 @@ class TestTracing:
 
 class TestWorkerHygiene:
     def test_reset_memos_clears_everything(self):
-        worker_module.machine_by_key("t3d")
+        from repro.netsim.schedule import _SCHEDULED_CACHE
+        from repro.runtime.collectives import run_collective
+        from repro.runtime.engine import CommRuntime
+        from repro.runtime.stages import _untraced_run
+
+        machine = worker_module.machine_by_key("t3d")
+        run_collective(
+            CommRuntime(machine, rates="paper"), "allreduce", "ring", 4, 4096
+        )
         assert worker_module._machines
+        assert _untraced_run.cache_info().currsize
+        assert _SCHEDULED_CACHE
         worker_module.reset_memos()
         assert not worker_module._machines
         assert not worker_module._tables
         assert not worker_module._runtimes
+        assert _untraced_run.cache_info().currsize == 0
+        assert not _SCHEDULED_CACHE
 
     def test_unknown_machine_key_raises(self):
         with pytest.raises(SweepError, match="unknown machine"):
