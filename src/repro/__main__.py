@@ -659,6 +659,7 @@ def cmd_load(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .core.shapes import read_json
     from .sweep import (
         SweepError,
         SweepSpec,
@@ -670,8 +671,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.spec is not None:
-        with open(args.spec) as handle:
-            spec = SweepSpec.from_dict(json_module.load(handle))
+        spec = SweepSpec.from_dict(
+            read_json(args.spec, SweepError, "sweep spec")
+        )
     elif args.grid == "figure7":
         spec = figure7_spec()
     elif args.grid == "figure8":

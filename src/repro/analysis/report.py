@@ -16,7 +16,9 @@ The payload shape::
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
+
+from ..core.shapes import Shape, problems
 
 __all__ = ["LINT_SCHEMA", "validate_lint_report"]
 
@@ -24,31 +26,53 @@ LINT_SCHEMA = "repro-lint-report/1"
 
 _SEVERITIES = ("error", "warning", "advice")
 
+#: One diagnostic, as both the lint and the verify report carry it.
+DIAGNOSTIC_SHAPE = Shape(
+    dict,
+    required={
+        "rule": Shape(str),
+        "severity": Shape(choices=_SEVERITIES),
+        "message": Shape(str),
+    },
+    optional={
+        "span": Shape(
+            list,
+            nullable=True,
+            items=Shape(int),
+            check=lambda span: None if len(span) == 2
+            else "is not a [start, end] pair",
+        ),
+    },
+)
 
-def _check_diagnostics(
-    diagnostics: Any, where: str, errors: List[str]
-) -> List[Any]:
-    if not isinstance(diagnostics, list):
-        errors.append(f"{where} is not a list")
-        return []
-    for index, entry in enumerate(diagnostics):
-        label = f"{where}[{index}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{label} is not an object")
-            continue
-        for key in ("rule", "severity", "message"):
-            if not isinstance(entry.get(key), str):
-                errors.append(f"{label}.{key} is not a string")
-        if entry.get("severity") not in _SEVERITIES:
-            errors.append(f"{label}.severity is {entry.get('severity')!r}")
-        span = entry.get("span")
-        if span is not None and not (
-            isinstance(span, list)
-            and len(span) == 2
-            and all(isinstance(v, int) for v in span)
-        ):
-            errors.append(f"{label}.span is not a [start, end] pair")
-    return diagnostics
+
+def _counts_match_diagnostics(payload: Any) -> Optional[str]:
+    tallied = dict.fromkeys(_SEVERITIES, 0)
+    for result in payload["results"]:
+        for entry in result["diagnostics"]:
+            tallied[entry["severity"]] += 1
+    if payload["counts"] != tallied:
+        return "counts do not match the diagnostics lists"
+    return None
+
+
+#: The ``repro-lint-report/1`` format, as walked by
+#: :func:`validate_lint_report`.
+LINT_SHAPE = Shape(
+    dict,
+    required={
+        "schema": Shape(choices=(LINT_SCHEMA,)),
+        "ok": Shape(bool),
+        "results": Shape(list, items=Shape(dict, required={
+            "notation": Shape(str),
+            "diagnostics": Shape(list, items=DIAGNOSTIC_SHAPE),
+        })),
+        "counts": Shape(
+            dict, closed=True, required=dict.fromkeys(_SEVERITIES, Shape(int))
+        ),
+    },
+    check=_counts_match_diagnostics,
+)
 
 
 def validate_lint_report(payload: Any) -> List[str]:
@@ -57,47 +81,4 @@ def validate_lint_report(payload: Any) -> List[str]:
     Returns a list of problems; an empty list means the payload
     conforms to ``repro-lint-report/1``.
     """
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != LINT_SCHEMA:
-        errors.append(
-            f"schema is {payload.get('schema')!r}, expected {LINT_SCHEMA!r}"
-        )
-    if not isinstance(payload.get("ok"), bool):
-        errors.append("ok is not a boolean")
-    results = payload.get("results")
-    all_diagnostics: List[Any] = []
-    if not isinstance(results, list):
-        errors.append("results is not a list")
-    else:
-        for index, result in enumerate(results):
-            where = f"results[{index}]"
-            if not isinstance(result, dict):
-                errors.append(f"{where} is not an object")
-                continue
-            if not isinstance(result.get("notation"), str):
-                errors.append(f"{where}.notation is not a string")
-            all_diagnostics.extend(
-                _check_diagnostics(
-                    result.get("diagnostics"), f"{where}.diagnostics", errors
-                )
-            )
-    counts = payload.get("counts")
-    if not isinstance(counts, dict):
-        errors.append("counts is not an object")
-    else:
-        unknown = sorted(set(counts) - set(_SEVERITIES))
-        if unknown:
-            errors.append(f"counts has unknown severities {unknown}")
-        for severity in _SEVERITIES:
-            if not isinstance(counts.get(severity), int):
-                errors.append(f"counts[{severity!r}] is not an integer")
-        if not errors:
-            tallied = {severity: 0 for severity in _SEVERITIES}
-            for entry in all_diagnostics:
-                if isinstance(entry, dict) and entry.get("severity") in tallied:
-                    tallied[entry["severity"]] += 1
-            if any(counts[s] != tallied[s] for s in _SEVERITIES):
-                errors.append("counts do not match the diagnostics lists")
-    return errors
+    return problems(payload, LINT_SHAPE)

@@ -8,112 +8,70 @@ downstream consumer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, List, Optional
+
+from ...core.shapes import NUMBER, Shape, problems
+from ..report import DIAGNOSTIC_SHAPE
 
 __all__ = ["SCHEMA", "validate_verify_report"]
 
 SCHEMA = "repro-verify-report/1"
 
-_BOUND_KEYS = {"phase", "mbps_lo", "mbps_hi", "lo_ns", "hi_ns"}
-_RESULT_KEYS = {
-    "target",
-    "machine",
-    "style",
-    "schedule",
-    "discipline",
-    "ok",
-    "estimate_mbps",
-    "bounds",
-    "coverage",
-    "diagnostics",
-}
+
+def _ordered_bounds(row: Any) -> Optional[str]:
+    return "has mbps_lo > mbps_hi" if row["mbps_lo"] > row["mbps_hi"] else None
 
 
-def _check_diagnostic(
-    entry: Any, where: str, errors: List[str]
-) -> None:
-    if not isinstance(entry, dict):
-        errors.append(f"{where} is not an object")
-        return
-    for key in ("rule", "severity", "message"):
-        if not isinstance(entry.get(key), str):
-            errors.append(f"{where}.{key} is not a string")
-    severity = entry.get("severity")
-    if severity not in ("error", "warning", "advice", None):
-        errors.append(f"{where}.severity is {severity!r}")
-    span = entry.get("span")
-    if span is not None and not (
-        isinstance(span, list)
-        and len(span) == 2
-        and all(isinstance(v, int) for v in span)
-    ):
-        errors.append(f"{where}.span is not a [start, end] pair")
+def _reason_if_uncovered(verdict: Any) -> Optional[str]:
+    if verdict["covered"] is False and verdict.get("reason") is None:
+        return "is uncovered but gives no reason"
+    return None
 
 
-def _check_result(
-    result: Any, where: str, errors: List[str]
-) -> None:
-    if not isinstance(result, dict):
-        errors.append(f"{where} is not an object")
-        return
-    missing = sorted(_RESULT_KEYS - set(result))
-    if missing:
-        errors.append(f"{where} is missing keys {missing}")
-        return
-    unknown = sorted(set(result) - _RESULT_KEYS)
-    if unknown:
-        errors.append(f"{where} has unknown keys {unknown}")
-    if not isinstance(result["target"], str):
-        errors.append(f"{where}.target is not a string")
-    if not isinstance(result["ok"], bool):
-        errors.append(f"{where}.ok is not a boolean")
-    estimate = result["estimate_mbps"]
-    if estimate is not None and not isinstance(estimate, (int, float)):
-        errors.append(f"{where}.estimate_mbps is not a number")
-    bounds = result["bounds"]
-    if not isinstance(bounds, list):
-        errors.append(f"{where}.bounds is not a list")
-    else:
-        for index, row in enumerate(bounds):
-            label = f"{where}.bounds[{index}]"
-            if not isinstance(row, dict) or set(row) != _BOUND_KEYS:
-                errors.append(f"{label} does not have keys {sorted(_BOUND_KEYS)}")
-                continue
-            if not isinstance(row["phase"], str):
-                errors.append(f"{label}.phase is not a string")
-            for key in ("mbps_lo", "mbps_hi", "lo_ns", "hi_ns"):
-                if not isinstance(row[key], (int, float)):
-                    errors.append(f"{label}.{key} is not a number")
-            if (
-                isinstance(row["mbps_lo"], (int, float))
-                and isinstance(row["mbps_hi"], (int, float))
-                and row["mbps_lo"] > row["mbps_hi"]
-            ):
-                errors.append(f"{label} has mbps_lo > mbps_hi")
-    coverage = result["coverage"]
-    if not isinstance(coverage, dict):
-        errors.append(f"{where}.coverage is not an object")
-    else:
-        for fault_class, verdict in coverage.items():
-            label = f"{where}.coverage[{fault_class!r}]"
-            if not isinstance(verdict, dict):
-                errors.append(f"{label} is not an object")
-                continue
-            if not isinstance(verdict.get("covered"), bool):
-                errors.append(f"{label}.covered is not a boolean")
-            reason = verdict.get("reason")
-            if reason is not None and not isinstance(reason, str):
-                errors.append(f"{label}.reason is not a string or null")
-            if verdict.get("covered") is False and reason is None:
-                errors.append(f"{label} is uncovered but gives no reason")
-    diagnostics = result["diagnostics"]
-    if not isinstance(diagnostics, list):
-        errors.append(f"{where}.diagnostics is not a list")
-    else:
-        for index, entry in enumerate(diagnostics):
-            _check_diagnostic(
-                entry, f"{where}.diagnostics[{index}]", errors
-            )
+def _ok_matches_results(payload: Any) -> Optional[str]:
+    if payload["ok"] != all(r["ok"] is True for r in payload["results"]):
+        return "ok does not match the per-result verdicts"
+    return None
+
+
+_BOUND = Shape(dict, closed=True, check=_ordered_bounds, required={
+    "phase": Shape(str),
+    "mbps_lo": Shape(NUMBER),
+    "mbps_hi": Shape(NUMBER),
+    "lo_ns": Shape(NUMBER),
+    "hi_ns": Shape(NUMBER),
+})
+
+_RESULT = Shape(dict, closed=True, required={
+    "target": Shape(str),
+    "machine": Shape(),
+    "style": Shape(),
+    "schedule": Shape(),
+    "discipline": Shape(),
+    "ok": Shape(bool),
+    "estimate_mbps": Shape(NUMBER, nullable=True),
+    "bounds": Shape(list, items=_BOUND),
+    "coverage": Shape(dict, values=Shape(
+        dict,
+        required={"covered": Shape(bool)},
+        optional={"reason": Shape(str, nullable=True)},
+        check=_reason_if_uncovered,
+    )),
+    "diagnostics": Shape(list, items=DIAGNOSTIC_SHAPE),
+})
+
+#: The ``repro-verify-report/1`` format, as walked by
+#: :func:`validate_verify_report`.
+SHAPE = Shape(
+    dict,
+    required={
+        "schema": Shape(choices=(SCHEMA,)),
+        "ok": Shape(bool),
+        "counts": Shape(dict, values=Shape(int)),
+        "results": Shape(list, items=_RESULT),
+    },
+    check=_ok_matches_results,
+)
 
 
 def validate_verify_report(payload: Any) -> List[str]:
@@ -122,34 +80,4 @@ def validate_verify_report(payload: Any) -> List[str]:
     Returns a list of problems; an empty list means the payload
     conforms to ``repro-verify-report/1``.
     """
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != SCHEMA:
-        errors.append(
-            f"schema is {payload.get('schema')!r}, expected {SCHEMA!r}"
-        )
-    if not isinstance(payload.get("ok"), bool):
-        errors.append("ok is not a boolean")
-    counts = payload.get("counts")
-    if not isinstance(counts, dict):
-        errors.append("counts is not an object")
-    else:
-        for rule_id, count in counts.items():
-            if not (isinstance(rule_id, str) and isinstance(count, int)):
-                errors.append(f"counts[{rule_id!r}] is malformed")
-    results = payload.get("results")
-    if not isinstance(results, list):
-        errors.append("results is not a list")
-        return errors
-    for index, result in enumerate(results):
-        _check_result(result, f"results[{index}]", errors)
-    if (
-        isinstance(payload.get("ok"), bool)
-        and isinstance(results, list)
-        and all(isinstance(r, dict) for r in results)
-    ):
-        derived = all(r.get("ok") is True for r in results)
-        if payload["ok"] != derived:
-            errors.append("ok does not match the per-result verdicts")
-    return errors
+    return problems(payload, SHAPE)

@@ -18,23 +18,33 @@ Two generators cover the paper's workloads:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.errors import ModelError
 from ..core.patterns import AccessPattern, CONTIGUOUS
+from ..core.shapes import JsonInput, fields, read_json
 from ..memsim.config import WORD_BYTES
 from .classify import classify_offsets, effective_pattern
 from .distributions import Distribution
 
-__all__ = ["CommOp", "CommPlan", "redistribute_1d", "transpose_2d"]
+__all__ = ["CommOp", "CommPlan", "PlanError", "redistribute_1d", "transpose_2d"]
+
+PLAN_SCHEMA = "repro-comm-plan/1"
+
+#: Patterns travel as their subscript strings (``"1"``, ``"64"``, ``"w"``).
+_PATTERN = {"parse": AccessPattern.parse, "format": lambda p: p.subscript}
+
+
+class PlanError(ModelError):
+    """A communication-plan payload is malformed."""
 
 
 @dataclass(frozen=True)
-class CommOp:
+class CommOp(JsonInput):
     """One point-to-point communication operation ``xQy``.
 
     Attributes:
@@ -49,10 +59,12 @@ class CommOp:
             uses to run the plan functionally.  Excluded from equality.
     """
 
+    parse_error = PlanError
+
     src: int
     dst: int
-    x: AccessPattern
-    y: AccessPattern
+    x: AccessPattern = field(metadata=_PATTERN)
+    y: AccessPattern = field(metadata=_PATTERN)
     nwords: int
     src_offsets: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
@@ -68,29 +80,6 @@ class CommOp:
     @property
     def notation(self) -> str:
         return f"{self.x.subscript}Q{self.y.subscript}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; concrete offsets are not serialized."""
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "x": self.x.subscript,
-            "y": self.y.subscript,
-            "nwords": self.nwords,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CommOp":
-        try:
-            return cls(
-                src=int(payload["src"]),
-                dst=int(payload["dst"]),
-                x=AccessPattern.parse(str(payload["x"])),
-                y=AccessPattern.parse(str(payload["y"])),
-                nwords=int(payload["nwords"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"CommOp payload missing key {exc}") from exc
 
 
 @dataclass
@@ -144,29 +133,24 @@ class CommPlan:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (``repro-comm-plan/1``)."""
         return {
-            "schema": "repro-comm-plan/1",
+            "schema": PLAN_SCHEMA,
             "name": self.name,
             "ops": [op.to_dict() for op in self.ops],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CommPlan":
-        schema = payload.get("schema", "repro-comm-plan/1")
-        if schema != "repro-comm-plan/1":
-            raise ValueError(f"unsupported plan schema {schema!r}")
-        ops_payload = payload.get("ops")
-        if not isinstance(ops_payload, list):
-            raise ValueError("plan payload 'ops' is not a list")
-        ops = [CommOp.from_dict(entry) for entry in ops_payload]
-        return cls(ops, name=str(payload.get("name", "plan")))
+        if isinstance(payload, dict) and "schema" in payload:
+            payload = dict(payload)
+            schema = payload.pop("schema")
+            if schema != PLAN_SCHEMA:
+                raise PlanError(f"unsupported plan schema {schema!r}")
+        return fields(cls, payload, PlanError)
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CommPlan":
         """Load a plan serialized by :meth:`to_dict` from a JSON file."""
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: plan payload is not an object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(str(path), PlanError, "plan"))
 
 
 def redistribute_1d(

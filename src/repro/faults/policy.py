@@ -24,9 +24,10 @@ replay guarantee the property suite pins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple, TYPE_CHECKING
+from typing import Any, Tuple, TYPE_CHECKING
 
 from ..core.errors import FaultError, TransferAbortedError
+from ..core.shapes import JsonInput, bounded, check_fields
 
 if TYPE_CHECKING:
     from .spec import FaultPlan
@@ -37,7 +38,7 @@ _GRANULARITIES = ("fragment", "message")
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(JsonInput):
     """How the runtime recovers from lost or corrupted units.
 
     Attributes:
@@ -60,36 +61,20 @@ class RetryPolicy:
             breaker (see ``docs/LOAD.md``).
     """
 
-    timeout_ns: float = 50_000.0
-    backoff_base_ns: float = 10_000.0
-    backoff_factor: float = 2.0
+    parse_error = FaultError
+
+    timeout_ns: float = bounded(50_000.0, minimum=0.0)
+    backoff_base_ns: float = bounded(10_000.0, minimum=0.0)
+    backoff_factor: float = bounded(2.0, minimum=1.0)
     backoff_cap_ns: float = 400_000.0
-    max_attempts: int = 8
-    granularity: str = "fragment"
-    retry_budget: float = 1.0
+    max_attempts: int = bounded(8, minimum=1)
+    granularity: str = bounded("fragment", choices=_GRANULARITIES)
+    retry_budget: float = bounded(1.0, minimum=0.0, maximum=1.0)
 
     def __post_init__(self) -> None:
-        if self.timeout_ns < 0 or self.backoff_base_ns < 0:
-            raise FaultError("timeout and backoff base cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise FaultError(
-                f"backoff factor must be >= 1, got {self.backoff_factor}"
-            )
+        check_fields(self, FaultError)
         if self.backoff_cap_ns < self.backoff_base_ns:
             raise FaultError("backoff cap cannot undercut the base wait")
-        if self.max_attempts < 1:
-            raise FaultError(
-                f"need at least one attempt, got {self.max_attempts}"
-            )
-        if self.granularity not in _GRANULARITIES:
-            raise FaultError(
-                f"granularity must be one of {_GRANULARITIES}, "
-                f"got {self.granularity!r}"
-            )
-        if not 0.0 <= self.retry_budget <= 1.0:
-            raise FaultError(
-                f"retry budget must be in [0, 1], got {self.retry_budget}"
-            )
 
     def backoff_ns(self, retry_index: int) -> float:
         """Idle wait before retransmission number ``retry_index`` (0-based)."""
@@ -97,24 +82,6 @@ class RetryPolicy:
             self.backoff_cap_ns,
             self.backoff_base_ns * self.backoff_factor ** retry_index,
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "timeout_ns": self.timeout_ns,
-            "backoff_base_ns": self.backoff_base_ns,
-            "backoff_factor": self.backoff_factor,
-            "backoff_cap_ns": self.backoff_cap_ns,
-            "max_attempts": self.max_attempts,
-            "granularity": self.granularity,
-            "retry_budget": self.retry_budget,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RetryPolicy":
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise FaultError(f"malformed retry policy: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -18,92 +18,63 @@ replays ``--seed 7`` and validates the emitted payload with
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
+
+from ..core.shapes import NUMBER, Shape, problems, replays
+from .spec import FaultPlan
 
 __all__ = ["SCHEMA", "validate_faults_report"]
 
 SCHEMA = "repro-faults-report/1"
 
-_RUN_KEYS = ("mbps", "ns", "phase_ns")
+
+def _positive(value: Any) -> Optional[str]:
+    return None if value > 0 else "must be a positive number"
 
 
-def _check_run(run: Any, name: str, errors: List[str]) -> None:
-    if not isinstance(run, dict):
-        errors.append(f"{name}: not an object")
-        return
-    for key in _RUN_KEYS:
-        if key not in run:
-            errors.append(f"{name}.{key}: missing")
-    for key in ("mbps", "ns"):
-        value = run.get(key)
-        if key in run and (not isinstance(value, (int, float)) or value <= 0):
-            errors.append(f"{name}.{key}: must be a positive number")
-    phase_ns = run.get("phase_ns")
-    if phase_ns is not None:
-        if not isinstance(phase_ns, dict):
-            errors.append(f"{name}.phase_ns: not an object")
-        else:
-            for phase, ns in phase_ns.items():
-                if not isinstance(ns, (int, float)) or ns < 0:
-                    errors.append(
-                        f"{name}.phase_ns[{phase!r}]: must be >= 0"
-                    )
+_NAME = Shape(str, nonempty=True)
+
+_RUN = {
+    "mbps": Shape(NUMBER, check=_positive),
+    "ns": Shape(NUMBER, check=_positive),
+    "phase_ns": Shape(
+        dict, nullable=True, values=Shape(NUMBER, minimum=0)
+    ),
+}
+
+#: The ``repro-faults-report/1`` format, as walked by
+#: :func:`validate_faults_report`.
+SHAPE = Shape(
+    dict,
+    required={
+        "schema": Shape(choices=(SCHEMA,)),
+        "machine": _NAME,
+        "operation": _NAME,
+        "style": _NAME,
+        "nbytes": Shape(int, minimum=1),
+        "seed": Shape(int),
+        "plan": Shape(dict, check=replays(FaultPlan.from_dict)),
+        "nominal": Shape(dict, required=_RUN),
+        "degraded": Shape(
+            dict,
+            required=_RUN,
+            optional={
+                "retries": Shape(int, minimum=0),
+                "fallback": Shape(dict, nullable=True, required={
+                    "fault": Shape(str),
+                    "requested": Shape(str),
+                    "fallback": Shape(str),
+                    "nominal_mbps": Shape(NUMBER),
+                    "degraded_mbps": Shape(NUMBER),
+                }),
+            },
+        ),
+        "delta": Shape(dict, required={"throughput_pct": Shape()}),
+    },
+    optional={"counters": Shape(dict, nullable=True)},
+)
 
 
 def validate_faults_report(payload: Any) -> List[str]:
     """Structural errors in a faults report (empty list = valid)."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != SCHEMA:
-        errors.append(
-            f"schema: expected {SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    for key in ("machine", "operation", "style"):
-        if not isinstance(payload.get(key), str) or not payload.get(key):
-            errors.append(f"{key}: missing or not a string")
-    if not isinstance(payload.get("nbytes"), int) or payload.get("nbytes", 0) <= 0:
-        errors.append("nbytes: must be a positive integer")
-    if not isinstance(payload.get("seed"), int):
-        errors.append("seed: must be an integer")
-    plan = payload.get("plan")
-    if not isinstance(plan, dict):
-        errors.append("plan: not an object")
-    else:
-        from .spec import FaultPlan
-
-        try:
-            FaultPlan.from_dict(plan)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            errors.append(f"plan: not replayable ({exc})")
-    _check_run(payload.get("nominal"), "nominal", errors)
-    degraded = payload.get("degraded")
-    _check_run(degraded, "degraded", errors)
-    if isinstance(degraded, dict):
-        if "retries" in degraded and (
-            not isinstance(degraded["retries"], int)
-            or degraded["retries"] < 0
-        ):
-            errors.append("degraded.retries: must be a non-negative integer")
-        fallback = degraded.get("fallback")
-        if fallback is not None:
-            if not isinstance(fallback, dict):
-                errors.append("degraded.fallback: not an object")
-            else:
-                for key in ("fault", "requested", "fallback"):
-                    if not isinstance(fallback.get(key), str):
-                        errors.append(
-                            f"degraded.fallback.{key}: missing or not a string"
-                        )
-                for key in ("nominal_mbps", "degraded_mbps"):
-                    if not isinstance(fallback.get(key), (int, float)):
-                        errors.append(
-                            f"degraded.fallback.{key}: missing or not a number"
-                        )
-    delta = payload.get("delta")
-    if not isinstance(delta, dict) or "throughput_pct" not in delta:
-        errors.append("delta.throughput_pct: missing")
-    counters = payload.get("counters")
-    if counters is not None and not isinstance(counters, dict):
-        errors.append("counters: not an object")
-    return errors
+    return problems(payload, SHAPE)

@@ -40,7 +40,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
-    Dict,
     FrozenSet,
     Iterator,
     List,
@@ -50,6 +49,7 @@ from typing import (
 )
 
 from ..core.errors import FaultError
+from ..core.shapes import JsonInput, bounded, check_fields, read_json
 from .policy import RetryPolicy
 
 __all__ = [
@@ -96,13 +96,10 @@ class NodeFault:
     """One node running slow (thermal throttle, noisy neighbour)."""
 
     node: int
-    slowdown: float = 1.0
+    slowdown: float = bounded(1.0, minimum=1.0)
 
     def __post_init__(self) -> None:
-        if self.slowdown < 1.0:
-            raise FaultError(
-                f"node slowdown must be >= 1, got {self.slowdown}"
-            )
+        check_fields(self, FaultError)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def _combined(probabilities: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(JsonInput):
     """A seeded, reproducible description of injected faults.
 
     Attributes:
@@ -152,6 +149,8 @@ class FaultPlan:
         links / nodes / deposits / fragments: The fault specs.
         retry: Recovery policy charged for fragment loss/corruption.
     """
+
+    parse_error = FaultError
 
     seed: int = 0
     links: Tuple[LinkFault, ...] = ()
@@ -283,72 +282,10 @@ class FaultPlan:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "links": [
-                {
-                    "src": fault.src,
-                    "dst": fault.dst,
-                    "derate": fault.derate,
-                    "failed": fault.failed,
-                }
-                for fault in self.links
-            ],
-            "nodes": [
-                {"node": fault.node, "slowdown": fault.slowdown}
-                for fault in self.nodes
-            ],
-            "deposits": [{"node": fault.node} for fault in self.deposits],
-            "fragments": [
-                {"loss": fault.loss, "corrupt": fault.corrupt}
-                for fault in self.fragments
-            ],
-            "retry": self.retry.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(payload, dict):
-            raise FaultError(f"fault plan must be an object, got {payload!r}")
-        unknown = set(payload) - {
-            "seed", "links", "nodes", "deposits", "fragments", "retry",
-        }
-        if unknown:
-            raise FaultError(
-                f"unknown fault plan fields: {sorted(unknown)}"
-            )
-        try:
-            return cls(
-                seed=int(payload.get("seed", 0)),
-                links=tuple(
-                    LinkFault(**spec) for spec in payload.get("links", ())
-                ),
-                nodes=tuple(
-                    NodeFault(**spec) for spec in payload.get("nodes", ())
-                ),
-                deposits=tuple(
-                    DepositFault(**spec)
-                    for spec in payload.get("deposits", ())
-                ),
-                fragments=tuple(
-                    FragmentFault(**spec)
-                    for spec in payload.get("fragments", ())
-                ),
-                retry=RetryPolicy.from_dict(payload.get("retry", {})),
-            )
-        except TypeError as exc:
-            raise FaultError(f"malformed fault spec: {exc}") from exc
-
     @classmethod
     def from_json(cls, path: str) -> "FaultPlan":
         """Load a plan from a JSON file (the ``--plan`` CLI input)."""
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FaultError(f"fault plan {path!r} is not valid JSON: {exc}")
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, FaultError, "fault plan"))
 
     @classmethod
     def chaos(cls, seed: int = 7) -> "FaultPlan":

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..core.errors import LoadError
+from ..core.shapes import JsonInput, bounded, check_fields
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -46,7 +47,7 @@ _REJECT_MODES = ("drop", "backoff")
 
 
 @dataclass(frozen=True)
-class OverloadSpec:
+class OverloadSpec(JsonInput):
     """Overload-protection configuration for one load profile.
 
     The default instance is a no-op (:meth:`is_noop`): admission
@@ -97,85 +98,32 @@ class OverloadSpec:
             (0 = ignore derates).
     """
 
-    admission: str = "none"
-    queue_limit: int = 64
-    station_capacity: int = 0
-    token_rate_per_s: float = 0.0
-    token_burst: int = 32
-    target_p99_ns: float = 0.0
-    p99_ceiling_ns: float = 0.0
-    reject_retry: str = "drop"
-    retry_backoff_ns: float = 200_000.0
-    max_retries: int = 3
-    retry_budget: float = 1.0
-    breaker_threshold: int = 0
-    breaker_cooldown_ns: float = 5_000_000.0
-    breaker_probes: int = 1
-    breaker_derate_trip: float = 0.0
+    parse_error = LoadError
+
+    admission: str = bounded("none", choices=ADMISSION_POLICIES)
+    queue_limit: int = bounded(64, minimum=1)
+    station_capacity: int = bounded(0, minimum=0)
+    token_rate_per_s: float = bounded(0.0, minimum=0.0)
+    token_burst: int = bounded(32, minimum=1)
+    target_p99_ns: float = bounded(0.0, minimum=0.0)
+    p99_ceiling_ns: float = bounded(0.0, minimum=0.0)
+    reject_retry: str = bounded("drop", choices=_REJECT_MODES)
+    retry_backoff_ns: float = bounded(200_000.0, minimum=0.0)
+    max_retries: int = bounded(3, minimum=0)
+    retry_budget: float = bounded(1.0, minimum=0.0, maximum=1.0)
+    breaker_threshold: int = bounded(0, minimum=0)
+    breaker_cooldown_ns: float = bounded(5_000_000.0, minimum=0.0)
+    breaker_probes: int = bounded(1, minimum=1)
+    breaker_derate_trip: float = bounded(0.0, minimum=0.0, maximum=1.0)
 
     def __post_init__(self) -> None:
-        if self.admission not in ADMISSION_POLICIES:
-            raise LoadError(
-                f"unknown admission policy {self.admission!r}; "
-                f"choose from {list(ADMISSION_POLICIES)}"
-            )
-        if self.queue_limit < 1:
-            raise LoadError(
-                f"queue limit must be >= 1, got {self.queue_limit}"
-            )
-        if self.station_capacity < 0:
-            raise LoadError(
-                "station capacity must be >= 0 (0 = unbounded), "
-                f"got {self.station_capacity}"
-            )
+        check_fields(self, LoadError)
         if self.admission == "token-bucket" and self.token_rate_per_s <= 0.0:
             raise LoadError(
                 "token-bucket admission needs token_rate_per_s > 0"
             )
-        if self.token_rate_per_s < 0.0:
-            raise LoadError("token rate cannot be negative")
-        if self.token_burst < 1:
-            raise LoadError(
-                f"token burst must be >= 1, got {self.token_burst}"
-            )
         if self.admission == "adaptive" and self.target_p99_ns <= 0.0:
             raise LoadError("adaptive admission needs target_p99_ns > 0")
-        for name, value in (
-            ("target_p99_ns", self.target_p99_ns),
-            ("p99_ceiling_ns", self.p99_ceiling_ns),
-            ("retry_backoff_ns", self.retry_backoff_ns),
-            ("breaker_cooldown_ns", self.breaker_cooldown_ns),
-            ("breaker_derate_trip", self.breaker_derate_trip),
-        ):
-            if value < 0.0:
-                raise LoadError(f"{name} cannot be negative, got {value}")
-        if self.reject_retry not in _REJECT_MODES:
-            raise LoadError(
-                f"reject_retry must be one of {_REJECT_MODES}, "
-                f"got {self.reject_retry!r}"
-            )
-        if self.max_retries < 0:
-            raise LoadError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not 0.0 <= self.retry_budget <= 1.0:
-            raise LoadError(
-                f"retry budget must be in [0, 1], got {self.retry_budget}"
-            )
-        if self.breaker_threshold < 0:
-            raise LoadError(
-                f"breaker threshold must be >= 0, got "
-                f"{self.breaker_threshold}"
-            )
-        if self.breaker_probes < 1:
-            raise LoadError(
-                f"breaker probes must be >= 1, got {self.breaker_probes}"
-            )
-        if not 0.0 <= self.breaker_derate_trip <= 1.0:
-            raise LoadError(
-                "breaker derate trip must be in [0, 1], got "
-                f"{self.breaker_derate_trip}"
-            )
 
     def is_noop(self) -> bool:
         """True when this spec changes nothing about the engine.
@@ -191,32 +139,6 @@ class OverloadSpec:
 
     def breakers_enabled(self) -> bool:
         return self.breaker_threshold > 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "admission": self.admission,
-            "queue_limit": self.queue_limit,
-            "station_capacity": self.station_capacity,
-            "token_rate_per_s": self.token_rate_per_s,
-            "token_burst": self.token_burst,
-            "target_p99_ns": self.target_p99_ns,
-            "p99_ceiling_ns": self.p99_ceiling_ns,
-            "reject_retry": self.reject_retry,
-            "retry_backoff_ns": self.retry_backoff_ns,
-            "max_retries": self.max_retries,
-            "retry_budget": self.retry_budget,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown_ns": self.breaker_cooldown_ns,
-            "breaker_probes": self.breaker_probes,
-            "breaker_derate_trip": self.breaker_derate_trip,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "OverloadSpec":
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise LoadError(f"malformed overload spec: {exc}") from exc
 
 
 class AdmissionPolicy:

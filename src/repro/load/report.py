@@ -33,7 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, List
+from typing import Any, List, Optional
+
+from ..core.shapes import NUMBER, Shape, problems, replays
+from ..faults.spec import FaultPlan
+from .overload import OverloadSpec
+from .workload import LoadProfile
 
 __all__ = [
     "OVERLOAD_SCHEMA",
@@ -69,141 +74,65 @@ def digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def _percentiles_in_order(latency: Any) -> Optional[str]:
+    if latency["count"] > 0 and not (
+        latency["min"] <= latency["p50"]
+        <= latency["p99"] <= latency["p999"] <= latency["max"]
+    ):
+        return "percentiles out of order"
+    return None
+
+
+_COUNT = Shape(int, minimum=0)
+
+_AMOUNT = Shape(NUMBER, minimum=0)
+
+_OVERLOAD_SHAPE = Shape(dict, required={
+    "schema": Shape(choices=(OVERLOAD_SCHEMA,)),
+    "spec": Shape(dict, check=replays(OverloadSpec.from_dict)),
+    "admission": Shape(dict, required={"policy": Shape()}),
+    "generators": Shape(dict, values=Shape(
+        dict, required=dict.fromkeys(_GENERATOR_KEYS, _COUNT)
+    )),
+    "totals": Shape(dict),
+    "goodput": Shape(dict, required={"goodput_per_s": Shape()}),
+    "breakers": Shape(dict, values=Shape(
+        dict, required={"state": Shape(choices=_BREAKER_STATES)}
+    )),
+})
+
+#: The ``repro-load-report/1`` format, as walked by
+#: :func:`validate_load_report`.
+SHAPE = Shape(
+    dict,
+    required={
+        "schema": Shape(choices=(SCHEMA,)),
+        "machine": Shape(str, nonempty=True),
+        "seed": _COUNT,
+        "duration_ns": _AMOUNT,
+        "end_ns": _AMOUNT,
+        "offered": _COUNT,
+        "completed": _COUNT,
+        "profile": Shape(dict, check=replays(LoadProfile.from_dict)),
+        "latency_ns": Shape(
+            dict,
+            required=dict.fromkeys(_LATENCY_KEYS, _AMOUNT),
+            check=_percentiles_in_order,
+        ),
+        "throughput": Shape(dict, required={"requests_per_s": Shape()}),
+        "stations": Shape(dict, values=Shape(
+            dict, required=dict.fromkeys(_STATION_KEYS, _AMOUNT)
+        )),
+    },
+    optional={
+        "faults": Shape(
+            dict, nullable=True, check=replays(FaultPlan.from_dict)
+        ),
+        "overload": _OVERLOAD_SHAPE,
+    },
+)
+
+
 def validate_load_report(payload: Any) -> List[str]:
     """Structural errors in a load report (empty list = valid)."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != SCHEMA:
-        errors.append(
-            f"schema: expected {SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    if not isinstance(payload.get("machine"), str) or not payload.get("machine"):
-        errors.append("machine: missing or not a string")
-    if not isinstance(payload.get("seed"), int) or payload.get("seed", -1) < 0:
-        errors.append("seed: must be a non-negative integer")
-    for key in ("duration_ns", "end_ns"):
-        value = payload.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            errors.append(f"{key}: must be a non-negative number")
-    for key in ("offered", "completed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or value < 0:
-            errors.append(f"{key}: must be a non-negative integer")
-    profile = payload.get("profile")
-    if not isinstance(profile, dict):
-        errors.append("profile: not an object")
-    else:
-        from .workload import LoadProfile
-
-        try:
-            LoadProfile.from_dict(profile)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            errors.append(f"profile: not replayable ({exc})")
-    latency = payload.get("latency_ns")
-    if not isinstance(latency, dict):
-        errors.append("latency_ns: not an object")
-    else:
-        for key in _LATENCY_KEYS:
-            value = latency.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                errors.append(f"latency_ns.{key}: must be a non-negative number")
-        if not errors and latency["count"] > 0:
-            if not (
-                latency["min"] <= latency["p50"]
-                <= latency["p99"] <= latency["p999"] <= latency["max"]
-            ):
-                errors.append("latency_ns: percentiles out of order")
-    throughput = payload.get("throughput")
-    if not isinstance(throughput, dict):
-        errors.append("throughput: not an object")
-    elif "requests_per_s" not in throughput:
-        errors.append("throughput.requests_per_s: missing")
-    stations = payload.get("stations")
-    if not isinstance(stations, dict):
-        errors.append("stations: not an object")
-    else:
-        for name, summary in stations.items():
-            if not isinstance(summary, dict):
-                errors.append(f"stations[{name!r}]: not an object")
-                continue
-            for key in _STATION_KEYS:
-                value = summary.get(key)
-                if not isinstance(value, (int, float)) or value < 0:
-                    errors.append(
-                        f"stations[{name!r}].{key}: "
-                        "must be a non-negative number"
-                    )
-    faults = payload.get("faults")
-    if faults is not None:
-        if not isinstance(faults, dict):
-            errors.append("faults: not an object or null")
-        else:
-            from ..faults.spec import FaultPlan
-
-            try:
-                FaultPlan.from_dict(faults)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                errors.append(f"faults: not replayable ({exc})")
-    if "overload" in payload:
-        errors.extend(_validate_overload(payload["overload"]))
-    return errors
-
-
-def _validate_overload(section: Any) -> List[str]:
-    """Structural errors in a report's ``overload`` section."""
-    errors: List[str] = []
-    if not isinstance(section, dict):
-        return ["overload: not an object"]
-    if section.get("schema") != OVERLOAD_SCHEMA:
-        errors.append(
-            f"overload.schema: expected {OVERLOAD_SCHEMA!r}, "
-            f"got {section.get('schema')!r}"
-        )
-    spec = section.get("spec")
-    if not isinstance(spec, dict):
-        errors.append("overload.spec: not an object")
-    else:
-        from .overload import OverloadSpec
-
-        try:
-            OverloadSpec.from_dict(spec)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            errors.append(f"overload.spec: not replayable ({exc})")
-    admission = section.get("admission")
-    if not isinstance(admission, dict) or "policy" not in admission:
-        errors.append("overload.admission: missing policy description")
-    generators = section.get("generators")
-    if not isinstance(generators, dict):
-        errors.append("overload.generators: not an object")
-    else:
-        for name, counts in generators.items():
-            if not isinstance(counts, dict):
-                errors.append(f"overload.generators[{name!r}]: not an object")
-                continue
-            for key in _GENERATOR_KEYS:
-                value = counts.get(key)
-                if not isinstance(value, int) or value < 0:
-                    errors.append(
-                        f"overload.generators[{name!r}].{key}: "
-                        "must be a non-negative integer"
-                    )
-    totals = section.get("totals")
-    if not isinstance(totals, dict):
-        errors.append("overload.totals: not an object")
-    goodput = section.get("goodput")
-    if not isinstance(goodput, dict) or "goodput_per_s" not in goodput:
-        errors.append("overload.goodput: missing goodput_per_s")
-    breakers = section.get("breakers")
-    if not isinstance(breakers, dict):
-        errors.append("overload.breakers: not an object")
-    else:
-        for link, state in breakers.items():
-            if (
-                not isinstance(state, dict)
-                or state.get("state") not in _BREAKER_STATES
-            ):
-                errors.append(
-                    f"overload.breakers[{link!r}]: missing or bad state"
-                )
-    return errors
+    return problems(payload, SHAPE)

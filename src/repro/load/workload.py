@@ -25,10 +25,11 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..core.errors import ModelError
+from ..core.errors import LoadError, ModelError
+from ..core.shapes import JsonInput, as_payload, bounded, check_fields
 from .overload import OverloadSpec
 
 __all__ = [
@@ -64,7 +65,7 @@ def exponential(mean: float, seed: int, *key: Any) -> float:
 
 
 @dataclass(frozen=True)
-class RequestTemplate:
+class RequestTemplate(JsonInput):
     """One request shape a generator can issue.
 
     Attributes:
@@ -81,42 +82,26 @@ class RequestTemplate:
             the run protected.
     """
 
+    parse_error = LoadError
+
     name: str
     x: str = "1"
     y: str = "1"
-    nbytes: int = 8192
+    nbytes: int = bounded(8192, minimum=1)
     style: str = "chained"
     priority: int = 0
-    deadline_ns: float = 0.0
+    deadline_ns: float = bounded(0.0, minimum=0.0)
 
     def __post_init__(self) -> None:
-        if self.nbytes <= 0:
-            raise ModelError(
-                f"template {self.name!r}: nbytes must be positive"
-            )
-        if self.deadline_ns < 0.0:
-            raise ModelError(
-                f"template {self.name!r}: deadline cannot be negative"
-            )
+        check_fields(self, LoadError)
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "name": self.name,
-            "x": self.x,
-            "y": self.y,
-            "nbytes": self.nbytes,
-            "style": self.style,
-            "priority": self.priority,
-        }
+        payload = as_payload(self)
         # Omitted at the default so PR-8 profile payloads (and their
         # report digests) are byte-identical when no deadline is set.
-        if self.deadline_ns > 0.0:
-            payload["deadline_ns"] = self.deadline_ns
+        if not self.deadline_ns > 0.0:
+            del payload["deadline_ns"]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RequestTemplate":
-        return cls(**payload)
 
 
 def _pick_template(
@@ -130,7 +115,7 @@ def _pick_template(
 
 
 @dataclass(frozen=True)
-class OpenLoopSpec:
+class OpenLoopSpec(JsonInput):
     """An open-loop (arrival-rate driven) request generator.
 
     Attributes:
@@ -142,20 +127,19 @@ class OpenLoopSpec:
             (deterministic in the seed).
     """
 
+    parse_error = LoadError
+
     name: str
     rate_per_s: float
-    burst: int = 1
-    templates: Tuple[RequestTemplate, ...] = field(
-        default_factory=lambda: (RequestTemplate("default"),)
+    burst: int = bounded(1, minimum=1)
+    templates: Tuple[RequestTemplate, ...] = bounded(
+        default_factory=lambda: (RequestTemplate("default"),), nonempty=True
     )
 
     def __post_init__(self) -> None:
+        check_fields(self, LoadError)
         if self.rate_per_s <= 0.0:
             raise ModelError(f"generator {self.name!r}: rate must be positive")
-        if self.burst < 1:
-            raise ModelError(f"generator {self.name!r}: burst must be >= 1")
-        if not self.templates:
-            raise ModelError(f"generator {self.name!r}: needs a template")
 
     def arrivals(self, seed: int, horizon_ns: float):
         """Yield ``(time_ns, template)`` arrivals up to ``horizon_ns``.
@@ -177,26 +161,9 @@ class OpenLoopSpec:
                 )
             index += 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "rate_per_s": self.rate_per_s,
-            "burst": self.burst,
-            "templates": [template.to_dict() for template in self.templates],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "OpenLoopSpec":
-        data = dict(payload)
-        data["templates"] = tuple(
-            RequestTemplate.from_dict(template)
-            for template in data.get("templates", [])
-        )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ClosedLoopSpec:
+class ClosedLoopSpec(JsonInput):
     """A closed-loop (think-time driven) request generator.
 
     Attributes:
@@ -208,24 +175,17 @@ class ClosedLoopSpec:
             :class:`OpenLoopSpec`.
     """
 
+    parse_error = LoadError
+
     name: str
-    clients: int
-    think_ns: float = 0.0
-    templates: Tuple[RequestTemplate, ...] = field(
-        default_factory=lambda: (RequestTemplate("default"),)
+    clients: int = bounded(minimum=1)
+    think_ns: float = bounded(0.0, minimum=0.0)
+    templates: Tuple[RequestTemplate, ...] = bounded(
+        default_factory=lambda: (RequestTemplate("default"),), nonempty=True
     )
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ModelError(
-                f"generator {self.name!r}: needs at least one client"
-            )
-        if self.think_ns < 0.0:
-            raise ModelError(
-                f"generator {self.name!r}: think time cannot be negative"
-            )
-        if not self.templates:
-            raise ModelError(f"generator {self.name!r}: needs a template")
+        check_fields(self, LoadError)
 
     def think(self, seed: int, client: int, issue: int) -> float:
         """The think gap before ``client``'s ``issue``-th request."""
@@ -240,26 +200,9 @@ class ClosedLoopSpec:
             self.templates, seed, self.name, client, issue
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "clients": self.clients,
-            "think_ns": self.think_ns,
-            "templates": [template.to_dict() for template in self.templates],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ClosedLoopSpec":
-        data = dict(payload)
-        data["templates"] = tuple(
-            RequestTemplate.from_dict(template)
-            for template in data.get("templates", [])
-        )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(JsonInput):
     """A complete traffic description for one machine.
 
     Attributes:
@@ -277,27 +220,23 @@ class LoadProfile:
             and leaves stations unbounded and breakers off.
     """
 
+    parse_error = LoadError
+
     name: str
     machine: str = "t3d"
-    nodes: int = 8
+    nodes: int = bounded(8, minimum=2)
     open_loops: Tuple[OpenLoopSpec, ...] = ()
     closed_loops: Tuple[ClosedLoopSpec, ...] = ()
     dispatch: str = "round-robin"
-    discipline: str = "fifo"
+    discipline: str = bounded("fifo", choices=("fifo", "priority"))
     congestion: float = 1.0
     overload: Optional[OverloadSpec] = None
 
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ModelError("a load profile needs at least 2 nodes")
+        check_fields(self, LoadError)
         if not self.open_loops and not self.closed_loops:
             raise ModelError(
                 f"profile {self.name!r} has no generators"
-            )
-        if self.discipline not in ("fifo", "priority"):
-            raise ModelError(
-                f"unknown queue discipline {self.discipline!r} "
-                "(choose fifo or priority)"
             )
         names = [spec.name for spec in self.generators]
         if len(set(names)) != len(names):
@@ -344,38 +283,13 @@ class LoadProfile:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "name": self.name,
-            "machine": self.machine,
-            "nodes": self.nodes,
-            "open_loops": [spec.to_dict() for spec in self.open_loops],
-            "closed_loops": [spec.to_dict() for spec in self.closed_loops],
-            "dispatch": self.dispatch,
-            "discipline": self.discipline,
-            "congestion": self.congestion,
-        }
+        payload = as_payload(self)
         # Omitted when absent — or a no-op, which the engine treats
         # identically — so unprotected payloads stay byte-identical to
         # the pre-protection format.
-        if self.overload is not None and not self.overload.is_noop():
-            payload["overload"] = self.overload.to_dict()
+        if self.overload is None or self.overload.is_noop():
+            del payload["overload"]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "LoadProfile":
-        data = dict(payload)
-        data["open_loops"] = tuple(
-            OpenLoopSpec.from_dict(spec)
-            for spec in data.get("open_loops", [])
-        )
-        data["closed_loops"] = tuple(
-            ClosedLoopSpec.from_dict(spec)
-            for spec in data.get("closed_loops", [])
-        )
-        overload = data.get("overload")
-        if isinstance(overload, dict):
-            data["overload"] = OverloadSpec.from_dict(overload)
-        return cls(**data)
 
 
 def _steady() -> LoadProfile:

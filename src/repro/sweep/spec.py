@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..core.operations import OperationStyle
+from ..core.shapes import JsonInput, bounded, check_fields
 
 __all__ = [
     "SweepError",
@@ -82,7 +83,7 @@ class SweepError(ModelError):
 
 
 @dataclass(frozen=True, order=True)
-class SweepCell:
+class SweepCell(JsonInput):
     """One unit of sweep work, fully self-describing and picklable.
 
     For ``kind="transfer"`` the fields read like an ``xQy`` operation:
@@ -101,6 +102,8 @@ class SweepCell:
     order used by the deterministic merge; it never depends on which
     worker produced a result.
     """
+
+    parse_error = SweepError
 
     kind: str
     machine: str
@@ -136,27 +139,9 @@ class SweepCell:
             f"{self.machine}:{self.x}Q{self.y}:{self.style}:{self.size}{tail}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SweepCell":
-        return cls(**_checked_fields(cls, payload))
-
-
-def _checked_fields(cls, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Reject unknown fields so stale/foreign JSON fails loudly."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
-    if unknown:
-        raise SweepError(
-            f"{cls.__name__} payload has unknown fields {unknown}"
-        )
-    return payload
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(JsonInput):
     """A declarative parameter grid of sweep cells.
 
     Axes multiply: ``machines x (pairs | x*y) x styles x sizes x
@@ -179,6 +164,8 @@ class SweepSpec:
     ``"auto"`` defers each cell to the model-driven selector.
     """
 
+    parse_error = SweepError
+
     kind: str = "transfer"
     machines: Tuple[str, ...] = ("t3d",)
     x: Tuple[str, ...] = ("1",)
@@ -189,8 +176,8 @@ class SweepSpec:
     seeds: Tuple[int, ...] = ()
     congestion: int = -1
     rates: str = "simulated"
-    model_source: str = "paper"
-    duplex: str = "auto"
+    model_source: str = bounded("paper", choices=_RATES)
+    duplex: str = bounded("auto", choices=_DUPLEX)
     nwords: int = 32768
     strides: Tuple[int, ...] = (2, 4, 8, 16, 32, 64)
     ops: Tuple[str, ...] = ()  # collective sweeps only
@@ -201,6 +188,7 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Raise :class:`SweepError` on the first structural problem."""
+        check_fields(self, SweepError)
         if self.kind not in _KINDS:
             raise SweepError(
                 f"unknown sweep kind {self.kind!r}; choose from {_KINDS}"
@@ -215,14 +203,6 @@ class SweepSpec:
                 )
         if self.rates not in _RATES:
             raise SweepError(f"unknown rate source {self.rates!r}")
-        if self.model_source not in _RATES:
-            raise SweepError(
-                f"unknown model source {self.model_source!r}"
-            )
-        if self.duplex not in _DUPLEX:
-            raise SweepError(
-                f"duplex must be one of {_DUPLEX}, got {self.duplex!r}"
-            )
         if self.kind == "calibrate":
             if self.nwords <= 0:
                 raise SweepError("calibrate sweeps need nwords > 0")
@@ -389,26 +369,9 @@ class SweepSpec:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["pairs"] = [list(pair) for pair in self.pairs]
-        return payload
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":
-        fields = dict(_checked_fields(cls, payload))
-        for name in ("machines", "x", "y", "styles", "strides", "ops",
-                     "algorithms"):
-            if name in fields:
-                fields[name] = tuple(fields[name])
-        for name in ("sizes", "seeds", "nodes"):
-            if name in fields:
-                fields[name] = tuple(int(v) for v in fields[name])
-        if "pairs" in fields:
-            fields["pairs"] = tuple(
-                (str(x), str(y)) for x, y in fields["pairs"]
-            )
-        spec = cls(**fields)
+        spec = super().from_dict(payload)
         spec.validate()
         return spec
 

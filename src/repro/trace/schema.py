@@ -26,64 +26,45 @@ from __future__ import annotations
 
 from typing import Any, List
 
+from ..core.shapes import NUMBER, Shape, problems
+
 __all__ = ["PHASES", "validate_chrome_trace"]
 
+_TIME = Shape(NUMBER, minimum=0)
+
+_EVENT = Shape(
+    dict,
+    required={
+        "name": Shape(str, nonempty=True),
+        "pid": Shape(int),
+        "tid": Shape(int),
+    },
+    tag="ph",
+    variants={
+        "X": Shape(required={"ts": _TIME, "dur": _TIME},
+                   optional={"cat": Shape(str)}),
+        "M": Shape(required={
+            "args": Shape(dict, required={"name": Shape(str)}),
+        }),
+        "C": Shape(required={
+            "args": Shape(dict, nonempty=True, values=Shape(NUMBER)),
+        }),
+    },
+)
+
 #: Event phases this exporter may emit.
-PHASES = ("X", "M", "C")
+PHASES = tuple(_EVENT.variants)
 
-
-def _check_event(event: Any, index: int, errors: List[str]) -> None:
-    where = f"traceEvents[{index}]"
-    if not isinstance(event, dict):
-        errors.append(f"{where}: not an object")
-        return
-    ph = event.get("ph")
-    if ph not in PHASES:
-        errors.append(f"{where}: ph {ph!r} not in {PHASES}")
-        return
-    name = event.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{where}: missing or empty name")
-    for key in ("pid", "tid"):
-        if not isinstance(event.get(key), int):
-            errors.append(f"{where}: {key} must be an integer")
-    if ph == "X":
-        for key in ("ts", "dur"):
-            value = event.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"{where}: {key} must be a number")
-            elif value < 0:
-                errors.append(f"{where}: {key} is negative ({value})")
-        if "cat" in event and not isinstance(event["cat"], str):
-            errors.append(f"{where}: cat must be a string")
-    elif ph == "M":
-        args = event.get("args")
-        if not isinstance(args, dict) or not isinstance(args.get("name"), str):
-            errors.append(f"{where}: metadata event needs args.name")
-    elif ph == "C":
-        args = event.get("args")
-        if not isinstance(args, dict) or not args:
-            errors.append(f"{where}: counter event needs non-empty args")
-        elif not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in args.values()
-        ):
-            errors.append(f"{where}: counter args must be numeric")
+#: The exported trace, as walked by :func:`validate_chrome_trace`.
+SHAPE = Shape(
+    dict,
+    required={"traceEvents": Shape(list, nonempty=True, items=_EVENT)},
+    optional={
+        "displayTimeUnit": Shape(choices=("ms", "ns"), nullable=True),
+    },
+)
 
 
 def validate_chrome_trace(payload: Any) -> List[str]:
     """Structural errors in an exported trace (empty list = valid)."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["top level: not a JSON object"]
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        return ["top level: traceEvents missing or not an array"]
-    if not events:
-        errors.append("traceEvents: empty (a trace must contain events)")
-    for index, event in enumerate(events):
-        _check_event(event, index, errors)
-    unit = payload.get("displayTimeUnit")
-    if unit is not None and unit not in ("ms", "ns"):
-        errors.append(f"displayTimeUnit {unit!r} not 'ms' or 'ns'")
-    return errors
+    return problems(payload, SHAPE)

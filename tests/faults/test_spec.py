@@ -143,6 +143,17 @@ class TestSerialization:
         with pytest.raises(FaultError):
             FaultPlan.from_dict({"links": [{"sr": 0}]})
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"seed": "abc"}, "seed"),
+        ({"fragments": [{"loss": "x"}]}, "fragments[0].loss"),
+        ({"retry": {"max_attempts": True}}, "retry.max_attempts"),
+        ({"nodes": [{}]}, "nodes[0].node"),
+    ])
+    def test_field_errors_name_the_field(self, payload, field):
+        with pytest.raises(FaultError) as excinfo:
+            FaultPlan.from_dict(payload)
+        assert field in str(excinfo.value)
+
     def test_from_json_rejects_bad_json(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")

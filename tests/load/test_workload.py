@@ -105,6 +105,13 @@ class TestRoundTrip:
         profile = profile_by_name(name)
         assert LoadProfile.from_dict(profile.to_dict()) == profile
 
+    @pytest.mark.parametrize("cls, payload", [
+        (OpenLoopSpec, {"name": "g", "rate_per_s": 10.0}),
+        (ClosedLoopSpec, {"name": "g", "clients": 2}),
+    ])
+    def test_omitted_templates_take_the_default(self, cls, payload):
+        assert cls.from_dict(payload).templates == (RequestTemplate("default"),)
+
     def test_unknown_profile_is_model_error(self):
         with pytest.raises(ModelError):
             profile_by_name("nope")

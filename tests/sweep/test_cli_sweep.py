@@ -92,6 +92,20 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(path)]) == EXIT_FAILURE
         assert "unknown machine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        json.dumps({"sizes": ["a"]}),
+        json.dumps({"machines": "t3d"}),
+    ])
+    def test_malformed_spec_is_one_line_error(self, text, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["sweep", "--spec", str(path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_spec_file_is_operational_failure(self, capsys):
         assert main(["sweep", "--spec", "/no/such/spec.json"]) == EXIT_FAILURE
         capsys.readouterr()

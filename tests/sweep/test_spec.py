@@ -132,6 +132,17 @@ class TestSerialization:
         with pytest.raises(SweepError, match="unknown fields"):
             SweepSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("payload, match", [
+        ([], "expected object"),
+        ({"sizes": ["a"]}, r"sizes\[0\]: expected integer"),
+        ({"sizes": [1.5]}, r"sizes\[0\]: expected integer"),
+        ({"machines": "t3d"}, "machines: expected array"),
+        ({"pairs": [["1", "64", "w"]]}, "exactly 2 items"),
+    ])
+    def test_malformed_payload_rejected(self, payload, match):
+        with pytest.raises(SweepError, match=match):
+            SweepSpec.from_dict(payload)
+
     def test_from_dict_validates(self):
         payload = SweepSpec().to_dict()
         payload["machines"] = ["t3e"]

@@ -241,6 +241,23 @@ class TestVerify:
         assert main(["verify", "--plan", str(path)]) == 0
         assert plan.from_dict(plan.to_dict()).ops == plan.ops
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        json.dumps({"ops": [{"src": 0, "x": "1", "y": "1", "nwords": 4}]}),
+        json.dumps({"ops": [{"src": 0, "dst": "1", "x": "1", "y": "1",
+                             "nwords": 4}]}),
+        json.dumps({"ops": "none"}),
+        json.dumps({"schema": "repro-comm-plan/0", "ops": []}),
+    ])
+    def test_malformed_plan_is_one_line_error(self, text, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["verify", "--plan", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_rules_filter_restricts_the_run(self, capsys):
         code = main(
             ["verify", "--step", "fan-in", "--schedule", "eager",

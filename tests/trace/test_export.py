@@ -78,6 +78,12 @@ class TestValidator:
         errors = validate_chrome_trace(payload)
         assert any("ph" in e for e in errors)
 
+    def test_rejects_unhashable_phase(self):
+        payload = {"traceEvents": [{"ph": ["X"], "name": "x", "pid": 0,
+                                    "tid": 0}]}
+        errors = validate_chrome_trace(payload)
+        assert any("ph" in e for e in errors)
+
     def test_rejects_negative_duration(self):
         payload = {
             "traceEvents": [
