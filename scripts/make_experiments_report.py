@@ -2,80 +2,16 @@
 """Regenerate the full paper-vs-ours data behind EXPERIMENTS.md.
 
 Runs every table/figure regeneration in repro.bench and prints the
-comparison blocks.  Use after changing calibration or runtime code to
-refresh the numbers recorded in EXPERIMENTS.md:
+comparison blocks (the same output as ``python -m repro report``).
+Use after changing calibration or runtime code to refresh the numbers
+recorded in EXPERIMENTS.md:
 
-    python scripts/make_experiments_report.py > /tmp/report.txt
+    python scripts/make_experiments_report.py > report.txt
 """
 
 from __future__ import annotations
 
-from repro.bench import (
-    figure1,
-    figure4,
-    figure7,
-    figure8,
-    render,
-    section341,
-    section51,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
-from repro.machines import paragon, t3d
-
-
-def print_series(title, series):
-    print(f"== {title} ==")
-    for label, points in series.items():
-        print(label, " ".join(f"{x}:{y:.1f}" for x, y in points))
-    print()
-
-
-def print_grid(title, results):
-    print(f"== {title} ==")
-    print(f"{'pattern':8} {'pack mdl':>9} {'pack meas':>10} "
-          f"{'chain mdl':>10} {'chain meas':>11}")
-    for pattern, entry in results.items():
-        print(
-            f"{pattern:8} {entry['buffer-packing model']:9.1f} "
-            f"{entry['buffer-packing measured']:10.1f} "
-            f"{entry['chained model']:10.1f} "
-            f"{entry['chained measured']:11.1f}"
-        )
-    print()
-
-
-def main() -> None:
-    comparisons = [
-        ("Table 1 (T3D)", table1, (t3d(),)),
-        ("Table 1 (Paragon)", table1, (paragon(),)),
-        ("Table 2 (T3D)", table2, (t3d(),)),
-        ("Table 2 (Paragon)", table2, (paragon(),)),
-        ("Table 3 (T3D)", table3, (t3d(),)),
-        ("Table 3 (Paragon)", table3, (paragon(),)),
-        ("Table 4 (T3D)", table4, (t3d(),)),
-        ("Table 4 (Paragon)", table4, (paragon(),)),
-        ("Section 5.1 (T3D)", section51, (t3d(),)),
-        ("Section 5.1 (Paragon)", section51, (paragon(),)),
-        ("Section 3.4.1", section341, ()),
-        ("Table 5", table5, ()),
-        ("Table 6", table6, ()),
-    ]
-    for title, function, args in comparisons:
-        print(render(title, function(*args)))
-        print()
-
-    print_series("Figure 1 (T3D)", figure1(t3d()))
-    print_series("Figure 1 (Paragon)", figure1(paragon()))
-    print_series("Figure 4 (T3D)", figure4(t3d()))
-    print_series("Figure 4 (Paragon)", figure4(paragon()))
-    print_grid("Figure 7 (T3D)", figure7())
-    print_grid("Figure 8 (Paragon)", figure8())
-
+from repro.bench import print_experiments_report
 
 if __name__ == "__main__":
-    main()
+    print_experiments_report()

@@ -12,14 +12,14 @@ consumer bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from ...compiler.commgen import CommOp, CommPlan
 from ...core.errors import ModelError
 from ...core.patterns import AccessPattern
 from ...machines.base import Machine
 from ...memsim.config import WORD_BYTES
-from ...netsim.patterns import all_to_all, cyclic_shift, fan_in
+from ...netsim.patterns import STEP_BUILDERS, step_flows
 from ...runtime.collectives import ALGORITHMS, collective_rounds
 from .api import DEFAULT_NBYTES, VerifyResult, results_payload, verify_plan
 
@@ -33,14 +33,6 @@ __all__ = [
     "example_payload",
     "step_plan",
 ]
-
-#: Flow-pattern builders keyed by the CLI's ``--step`` choices.
-STEP_BUILDERS: Dict[str, Callable[[int], List[Tuple[int, int]]]] = {
-    "all-to-all": all_to_all,
-    "shift": cyclic_shift,
-    "fan-in": fan_in,
-}
-
 
 @dataclass(frozen=True)
 class ExampleSpec:
@@ -110,22 +102,19 @@ def step_plan(
     """Build a plan for one named step pattern or collective op."""
     if step in ALGORITHMS:
         return collective_plan(step, nodes, x=x, y=y, nbytes=nbytes)
-    try:
-        builder = STEP_BUILDERS[step]
-    except KeyError:
+    if step not in STEP_BUILDERS:
         raise ModelError(
             f"unknown step pattern {step!r}; choose from "
             f"{sorted(STEP_BUILDERS) + sorted(ALGORITHMS)}"
-        ) from None
-    if nodes < 2:
-        raise ModelError(f"a step pattern needs >= 2 nodes, got {nodes}")
+        )
+    flows = step_flows(step, nodes)
     read = AccessPattern.parse(x)
     write = AccessPattern.parse(y)
     nwords = max(1, nbytes // WORD_BYTES)
     return CommPlan(
         ops=[
             CommOp(src=src, dst=dst, x=read, y=write, nwords=nwords)
-            for src, dst in builder(nodes)
+            for src, dst in flows
         ],
         name=f"{step}[{nodes}]",
     )

@@ -8,6 +8,7 @@ from .experiments import (
     figure7,
     figure8,
     PATTERN_GRID,
+    print_experiments_report,
     section341,
     section51,
     table1,
@@ -32,6 +33,7 @@ __all__ = [
     "model_accuracy",
     "paperdata",
     "PATTERN_GRID",
+    "print_experiments_report",
     "render",
     "section341",
     "section51",

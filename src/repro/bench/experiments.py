@@ -19,7 +19,7 @@ from ..netsim.network import FramingMode
 from ..runtime.engine import CommRuntime, measure_q
 from ..runtime.libraries import lowlevel_profile, pvm_profile
 from . import paperdata
-from .reporting import Comparison
+from .reporting import Comparison, render
 
 __all__ = [
     "table1",
@@ -37,6 +37,7 @@ __all__ = [
     "table5",
     "table6",
     "PATTERN_GRID",
+    "print_experiments_report",
 ]
 
 #: The x/y pattern grid of Figures 7 and 8 (both axes of each chart).
@@ -375,3 +376,54 @@ def table6() -> List[Comparison]:
             )
         )
     return rows
+
+
+# -- The full report --------------------------------------------------------------
+
+
+def print_experiments_report() -> None:
+    """Print every paper-vs-ours comparison behind EXPERIMENTS.md.
+
+    Tables as :func:`render` blocks, then the figure series and the
+    Figure 7/8 model-vs-measured grids.  Slow: it regenerates every
+    table and figure.
+    """
+    comparisons = [
+        ("Table 1 (T3D)", table1, (t3d(),)),
+        ("Table 1 (Paragon)", table1, (paragon(),)),
+        ("Table 2 (T3D)", table2, (t3d(),)),
+        ("Table 2 (Paragon)", table2, (paragon(),)),
+        ("Table 3 (T3D)", table3, (t3d(),)),
+        ("Table 3 (Paragon)", table3, (paragon(),)),
+        ("Table 4 (T3D)", table4, (t3d(),)),
+        ("Table 4 (Paragon)", table4, (paragon(),)),
+        ("Section 5.1 (T3D)", section51, (t3d(),)),
+        ("Section 5.1 (Paragon)", section51, (paragon(),)),
+        ("Section 3.4.1", section341, ()),
+        ("Table 5", table5, ()),
+        ("Table 6", table6, ()),
+    ]
+    for title, function, args in comparisons:
+        print(render(title, function(*args)))
+        print()
+
+    for figure, function in (("Figure 1", figure1), ("Figure 4", figure4)):
+        for title, factory in (("T3D", t3d), ("Paragon", paragon)):
+            print(f"== {figure} ({title}) ==")
+            for label, points in function(factory()).items():
+                print(label, " ".join(f"{x}:{y:.1f}" for x, y in points))
+            print()
+
+    for title, results in (("Figure 7 (T3D)", figure7()),
+                           ("Figure 8 (Paragon)", figure8())):
+        print(f"== {title} ==")
+        print(f"{'pattern':8} {'pack mdl':>9} {'pack meas':>10} "
+              f"{'chain mdl':>10} {'chain meas':>11}")
+        for pattern, entry in results.items():
+            print(
+                f"{pattern:8} {entry['buffer-packing model']:9.1f} "
+                f"{entry['buffer-packing measured']:10.1f} "
+                f"{entry['chained model']:10.1f} "
+                f"{entry['chained measured']:11.1f}"
+            )
+        print()

@@ -35,6 +35,7 @@ invariant.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,7 +53,7 @@ from .overload import OverloadSpec, admission_by_name
 from .queues import Station
 from .workload import ClosedLoopSpec, LoadProfile, RequestTemplate, uniform
 
-__all__ = ["LoadEngine", "LoadResult"]
+__all__ = ["LoadEngine", "LoadResult", "valid_horizon"]
 
 _MACHINES = MACHINE_FACTORIES
 
@@ -62,6 +63,11 @@ _DONE, _ARRIVE, _ENQUEUE = 0, 1, 2
 
 #: Station legs a request walks, in order.
 _NIC, _DEPOSIT, _COPROC = "nic", "deposit", "coproc"
+
+
+def valid_horizon(horizon_ns: float) -> bool:
+    """True when a load duration can run: finite and positive."""
+    return math.isfinite(horizon_ns) and horizon_ns > 0.0
 
 
 class _Request:
@@ -326,8 +332,8 @@ class LoadEngine:
         emitted for a protected run, or for any run in which a
         transfer abort broke a request.
         """
-        if horizon_ns <= 0.0:
-            raise ModelError("load duration must be positive")
+        if not valid_horizon(horizon_ns):
+            raise ModelError("load duration must be finite and positive")
         profile = self.profile
         policy = policy_by_name(profile.dispatch, profile.nodes, self.seed)
         heappush, heappop = heapq.heappush, heapq.heappop

@@ -12,12 +12,16 @@ three application kernels of Section 6 map onto these:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
+
+from ..core.errors import ModelError
 
 __all__ = [
+    "STEP_BUILDERS",
     "all_to_all",
     "cyclic_shift",
     "fan_in",
+    "step_flows",
     "transpose_exchange",
     "neighbor_exchange",
 ]
@@ -48,6 +52,25 @@ def fan_in(n_nodes: int, root: int = 0) -> List[Flow]:
     deposit engine and one processor.
     """
     return [(src, root) for src in range(n_nodes) if src != root]
+
+
+#: Uniform step patterns by their CLI ``--step`` name.
+STEP_BUILDERS: Dict[str, Callable[[int], List[Flow]]] = {
+    "all-to-all": all_to_all,
+    "shift": cyclic_shift,
+    "fan-in": fan_in,
+}
+
+
+def step_flows(step: str, n_nodes: int) -> List[Flow]:
+    """The flows of the named :data:`STEP_BUILDERS` pattern.
+
+    Raises:
+        ModelError: Fewer than two nodes; a node cannot step with itself.
+    """
+    if n_nodes < 2:
+        raise ModelError(f"a step pattern needs >= 2 nodes, got {n_nodes}")
+    return STEP_BUILDERS[step](n_nodes)
 
 
 def transpose_exchange(n_nodes: int) -> List[Flow]:

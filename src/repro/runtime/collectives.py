@@ -83,8 +83,7 @@ class CollectiveResult:
     """Outcome of one collective run.
 
     ``total_ns`` is *exactly* ``intra_gather_ns + sum(round_ns) +
-    intra_scatter_ns`` — the phase-sum invariant the ``trace``
-    subcommand asserts.  ``round_ns`` carries the per-round times
+    intra_scatter_ns``, by construction.  ``round_ns`` carries the per-round times
     actually charged (after NIC contention on flat hierarchical runs),
     while ``rounds`` keeps the raw step results for inspection.
     """

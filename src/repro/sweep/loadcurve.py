@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import LoadError
 from ..faults.spec import FaultPlan
-from ..load.engine import LoadEngine
+from ..load.engine import LoadEngine, valid_horizon
 from ..load.workload import LoadProfile
 from .runner import _pool_context
 
@@ -136,15 +136,16 @@ def run_load_curve(
         The ``repro-load-curve/1`` payload (canonical-JSON friendly).
 
     Raises:
-        LoadError: Bad multipliers or a non-positive knee factor.
+        LoadError: Bad multipliers, a non-positive knee factor, or a
+            duration that is not finite and positive.
     """
     values = _check_multipliers(multipliers)
     if knee_factor <= 1.0:
         raise LoadError(
             f"knee factor must be > 1, got {knee_factor}"
         )
-    if horizon_ns <= 0.0:
-        raise LoadError("curve duration must be positive")
+    if not valid_horizon(horizon_ns):
+        raise LoadError("curve duration must be finite and positive")
     faults_dict = faults.to_dict() if faults is not None else None
     jobs = [
         (profile.to_dict(), seed, horizon_ns, multiplier, faults_dict)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.load import validate_load_report
 
@@ -58,8 +60,9 @@ class TestLoadCommand:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
-    def test_nonpositive_duration_is_one_line_error(self, capsys):
-        assert main(["load", "--duration", "0"]) == 1
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_duration_is_one_line_error(self, duration, capsys):
+        assert main(["load", "--duration", duration]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
@@ -108,6 +111,15 @@ class TestOverloadFlags:
         # token-bucket admission without a rate is a spec error.
         assert main([
             "load", "--duration", "0.005", "--admission", "token-bucket",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_overload_flag_fails_without_protection(self, capsys):
+        # The spec is checked before it is dropped as a no-op.
+        assert main([
+            "load", "--duration", "0.005", "--token-burst", "0",
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

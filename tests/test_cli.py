@@ -22,6 +22,49 @@ class TestParser:
         assert args.x == "1" and args.y == "64"
 
 
+def _exit_code(argv):
+    """``main``'s exit code, counting argparse's ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("command, code", [
+        # Sizes and counts are positive integers: argparse usage errors.
+        ("trace --bytes 0", 2),
+        ("measure --bytes 0", 2),
+        ("measure --bytes -5", 2),
+        ("faults --bytes 0", 2),
+        ("trace --step shift --nodes 0", 2),
+        ("faults --step shift --nodes 0", 2),
+        ("verify --nodes 0", 2),
+        ("advise --nodes 0", 2),
+        ("advise --rows 0", 2),
+        ("advise --cols -1", 2),
+        ("advise --element-words 0", 2),
+        ("calibrate --words 0", 2),
+        # A step needs two nodes; a load run a finite duration.
+        ("trace --step shift --nodes 1", 1),
+        ("faults --step shift --nodes 1", 1),
+        ("load --duration nan", 1),
+    ])
+    def test_fails_without_traceback(self, command, code, capsys):
+        assert _exit_code(command.split()) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            "error: " if code == 1 else "python -m repro"
+        )
+
+    def test_every_step_command_takes_the_same_names(self):
+        parser = build_parser()
+        for command in ("verify", "trace", "faults"):
+            args = parser.parse_args([command, "--step", "fan-in"])
+            assert args.step == "fan-in"
+
+
 class TestCommands:
     def test_machines(self, capsys):
         main(["machines"])
@@ -291,3 +334,17 @@ class TestLintDeep:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-lint-report/1"
         assert validate_lint_report(payload) == []
+
+
+@pytest.mark.slow
+class TestReport:
+    def test_report_prints_every_section(self, capsys):
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        for title in (
+            "Table 1 (T3D)", "Table 4 (Paragon)", "Section 3.4.1",
+            "Table 5", "Table 6", "== Figure 1 (T3D) ==",
+            "== Figure 4 (Paragon) ==", "== Figure 7 (T3D) ==",
+            "== Figure 8 (Paragon) ==",
+        ):
+            assert title in out
