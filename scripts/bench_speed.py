@@ -264,7 +264,7 @@ def main() -> int:
     )
 
     # Batched engine: the same figure-7 grid evaluated as vectorized
-    # numpy passes in one process (run_sweep(engine="batch")), against
+    # numpy passes in one process (run_sweep(workers=1)), against
     # the same honest serial baseline.  Cache stays off; the payload
     # must be bit-identical, cell for cell.
     batch_sweep_s = float("inf")
@@ -273,7 +273,7 @@ def main() -> int:
     for __ in range(args.repeat):
         default_cache().clear()
         started = time.perf_counter()
-        batch_result = run_sweep(sweep_spec, workers=1, engine="batch")
+        batch_result = run_sweep(sweep_spec, workers=1)
         batch_sweep_s = min(batch_sweep_s, time.perf_counter() - started)
         batch_digest = batch_result.digest()
         batch_stats = batch_result.stats

@@ -570,12 +570,11 @@ def cmd_load(args: argparse.Namespace) -> int:
         return _load_curve(args, profile, faults, horizon_ns)
     engine = LoadEngine(profile, seed=args.seed, faults=faults)
     started = time_module.perf_counter()
-    result = engine.run(horizon_ns, workers=args.workers)
+    result = engine.run(horizon_ns)
     elapsed = time_module.perf_counter() - started
     events = result.stats.get("events", 0)
     if args.json:
-        # Canonical payload only: identical bytes for any --workers
-        # value or replay.  Wall-clock facts are nondeterministic and
+        # Canonical payload only: identical bytes on every replay.  Wall-clock facts are nondeterministic and
         # go to stderr instead (the sweep convention).
         payload = dict(result.to_dict())
         payload["digest"] = result.digest()
@@ -664,7 +663,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         shuffle_seed=args.shuffle_seed,
         preflight_verify=args.verify,
-        engine=args.engine,
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -1177,10 +1175,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run a declarative parameter sweep through the sharded "
             "engine (repro.sweep): plan the grid into shards, execute "
-            "them on --workers processes, and merge deterministically. "
-            "The emitted canonical JSON (and its digest) is "
-            "bit-identical for any --workers / --shard-size / "
-            "--shuffle-seed / --engine combination."
+            "them as vectorized batches on --workers processes, and "
+            "merge deterministically. The emitted canonical JSON (and "
+            "its digest) is bit-identical for any --workers / "
+            "--shard-size / --shuffle-seed combination."
         ),
     )
     sweep.add_argument("--grid", default="figure7",
@@ -1201,13 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--shuffle-seed", type=int, default=None,
                        help="permute shard submission order (results "
                             "must not change)")
-    sweep.add_argument("--engine", default="cell",
-                       choices=("cell", "batch"),
-                       help="execution engine: 'cell' runs the scalar "
-                            "per-cell loop; 'batch' evaluates the grid "
-                            "as vectorized numpy passes, falling back "
-                            "per cell where batching does not apply "
-                            "(bit-identical payload and digest)")
     sweep.add_argument("--json", action="store_true",
                        help="print the canonical result payload")
     sweep.add_argument("--out", default=None,
@@ -1228,8 +1219,8 @@ def build_parser() -> argparse.ArgumentParser:
             "deposit-engine / co-processor queueing stations whose "
             "service times come from the calibrated runtime.  The run "
             "is replay-deterministic: the same --profile/--seed/"
-            "--duration always produces bit-identical canonical JSON, "
-            "for any --workers value.  --chaos-seed composes a fault "
+            "--duration always produces bit-identical canonical JSON.  "
+            "--chaos-seed composes a fault "
             "plan with the traffic, showing tail latency under link "
             "derates and node slowdowns.  Reports p50/p99/p999 latency, "
             "per-station utilization and queue depth."
@@ -1249,8 +1240,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated seconds of traffic (default 0.05); "
                            "in-flight requests drain past the horizon")
     load.add_argument("--workers", type=int, default=1,
-                      help="threads for arrival pre-generation (results "
-                           "are bit-identical for any value)")
+                      help="processes for --latency-curve points (a "
+                           "single run ignores it; results are "
+                           "bit-identical for any value)")
     load.add_argument("--chaos-seed", type=int, default=None,
                       help="compose the built-in chaos fault plan with "
                            "this seed (with --plan: re-seed the plan)")

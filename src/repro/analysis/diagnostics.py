@@ -33,6 +33,7 @@ __all__ = [
     "has_errors",
     "max_severity",
     "render_report",
+    "sort_diagnostics",
 ]
 
 
@@ -118,6 +119,19 @@ class Diagnostic:
         if self.hint:
             payload["hint"] = self.hint
         return payload
+
+
+def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:
+    """Canonical finding order: severity, then span, rule and message."""
+    return sorted(
+        diagnostics,
+        key=lambda d: (
+            -d.severity.rank,
+            d.span.start if d.span else -1,
+            d.rule,
+            d.message,
+        ),
+    )
 
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:

@@ -24,7 +24,7 @@ from ..core.composition import Expr
 from ..core.constraints import ResourceConstraint
 from ..core.errors import CompositionError, ModelError
 from ..core.operations import CommCapabilities
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, sort_diagnostics
 from .rules import RULES, AnalysisContext, PlanContext, Rule
 from .tree import compute_spans
 
@@ -55,18 +55,6 @@ def select_rules(
     if scope is not None:
         selected = [r for r in selected if r.scope == scope]
     return selected
-
-
-def _sorted(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
-    return sorted(
-        diagnostics,
-        key=lambda d: (
-            -d.severity.rank,
-            d.span.start if d.span else -1,
-            d.rule,
-            d.message,
-        ),
-    )
 
 
 def analyze(
@@ -115,7 +103,7 @@ def analyze(
                     hint=finding.hint,
                 )
             )
-    return _sorted(diagnostics)
+    return sort_diagnostics(diagnostics)
 
 
 def analyze_plan(
@@ -178,4 +166,4 @@ def analyze_plan(
                         continue
                     seen_keys.add(key)
                     diagnostics.append(diagnostic)
-    return _sorted(diagnostics)
+    return sort_diagnostics(diagnostics)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity, sort_diagnostics
 from ..rules import Finding, Rule, rule, verify_rules
 from .bounds import PhaseBound
 from .coverage import CoverageEntry
@@ -326,20 +326,6 @@ def ct215_uncovered_fault_class(ctx: VerifyContext) -> Iterator[Finding]:
 # -- runner -------------------------------------------------------------------
 
 
-def _sorted(diagnostics: List[Diagnostic]) -> Tuple[Diagnostic, ...]:
-    return tuple(
-        sorted(
-            diagnostics,
-            key=lambda d: (
-                -d.severity.rank,
-                d.span.start if d.span else -1,
-                d.rule,
-                d.message,
-            ),
-        )
-    )
-
-
 def run_verify(
     ctx: VerifyContext,
     only: Optional[Sequence[str]] = None,
@@ -374,4 +360,4 @@ def run_verify(
                     hint=finding.hint,
                 )
             )
-    return _sorted(diagnostics)
+    return tuple(sort_diagnostics(diagnostics))

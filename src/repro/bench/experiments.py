@@ -9,7 +9,7 @@ The ``benchmarks/`` tree calls these and asserts the shape criteria.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.operations import OperationStyle
 from ..core.patterns import CONTIGUOUS, INDEXED, AccessPattern, strided
@@ -210,19 +210,15 @@ def _packing_vs_chained(
     return results
 
 
-def _packing_vs_chained_swept(
-    spec, workers: int, shard_size=None, engine: str = "cell"
-) -> Dict[str, Dict[str, float]]:
-    """The Figure 7/8 grid executed through :mod:`repro.sweep`.
+def _packing_vs_chained_swept(spec) -> Dict[str, Dict[str, float]]:
+    """The Figure 7/8 grid executed through :func:`repro.sweep.run_sweep`.
 
     Returns the same mapping (same keys, same insertion order, same
     values) as :func:`_packing_vs_chained` — only wall-clock differs.
     """
     from ..sweep import run_sweep
 
-    result = run_sweep(
-        spec, workers=workers, shard_size=shard_size, engine=engine
-    )
+    result = run_sweep(spec)
     results: Dict[str, Dict[str, float]] = {}
     for cell, row in zip(result.cells, result.rows):
         name = f"{cell.x}Q{cell.y}"
@@ -232,40 +228,38 @@ def _packing_vs_chained_swept(
     return results
 
 
-def figure7(
-    workers: int = 1, shard_size=None, engine: str = "cell"
+def _packing_vs_chained_by(
+    engine: str, spec_factory: Callable, machine_factory: Callable
 ) -> Dict[str, Dict[str, float]]:
+    if engine == "batch":
+        return _packing_vs_chained_swept(spec_factory())
+    if engine != "cell":
+        raise ValueError(f"unknown engine {engine!r}; use 'cell' or 'batch'")
+    return _packing_vs_chained(machine_factory())
+
+
+def figure7(engine: str = "cell") -> Dict[str, Dict[str, float]]:
     """Buffer-packing vs chained on the T3D (Figure 7).
 
-    ``workers`` > 1 executes the grid through the sharded sweep engine
-    (:mod:`repro.sweep`), and ``engine="batch"`` evaluates it through
-    the vectorized batch engine; the returned mapping is identical.
+    ``engine="cell"`` runs the direct per-pattern loop;
+    ``engine="batch"`` runs the grid through :func:`repro.sweep.run_sweep`.
+    The returned mapping is identical.
     """
-    if (workers and workers > 1) or engine != "cell":
-        from ..sweep import figure7_spec
+    from ..sweep import figure7_spec
 
-        return _packing_vs_chained_swept(
-            figure7_spec(), workers, shard_size, engine
-        )
-    return _packing_vs_chained(t3d())
+    return _packing_vs_chained_by(engine, figure7_spec, t3d)
 
 
-def figure8(
-    workers: int = 1, shard_size=None, engine: str = "cell"
-) -> Dict[str, Dict[str, float]]:
+def figure8(engine: str = "cell") -> Dict[str, Dict[str, float]]:
     """Buffer-packing vs chained on the Paragon (Figure 8).
 
-    ``workers`` > 1 executes the grid through the sharded sweep engine
-    (:mod:`repro.sweep`), and ``engine="batch"`` evaluates it through
-    the vectorized batch engine; the returned mapping is identical.
+    ``engine="cell"`` runs the direct per-pattern loop;
+    ``engine="batch"`` runs the grid through :func:`repro.sweep.run_sweep`.
+    The returned mapping is identical.
     """
-    if (workers and workers > 1) or engine != "cell":
-        from ..sweep import figure8_spec
+    from ..sweep import figure8_spec
 
-        return _packing_vs_chained_swept(
-            figure8_spec(), workers, shard_size, engine
-        )
-    return _packing_vs_chained(paragon())
+    return _packing_vs_chained_by(engine, figure8_spec, paragon)
 
 
 def machine_grid(machine_key: str) -> Dict[str, Dict[str, float]]:

@@ -32,9 +32,6 @@ zero-overhead-when-off contract the tracer keeps.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -48,6 +45,7 @@ from typing import (
     Tuple,
 )
 
+from ..core import draws
 from ..core.errors import FaultError
 from ..core.shapes import JsonInput, bounded, check_fields, read_json
 from .policy import RetryPolicy
@@ -250,12 +248,7 @@ class FaultPlan(JsonInput):
         A pure function of ``(seed, key)``: no RNG state, so call order
         and engine choice cannot perturb replay.
         """
-        payload = json.dumps(
-            [self.seed, [repr(part) for part in key]], separators=(",", ":")
-        )
-        digest = hashlib.sha256(payload.encode()).digest()
-        (word,) = struct.unpack(">Q", digest[:8])
-        return word / float(1 << 64)
+        return draws.uniform(self.seed, *key)
 
     def bernoulli(self, probability: float, *key: Any) -> bool:
         """Deterministic coin flip: True with ``probability`` for ``key``."""

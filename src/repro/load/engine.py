@@ -21,15 +21,12 @@ Determinism is structural, not incidental:
 * every event's heap key is content-derived —
   ``(time, kind, request identity, leg)`` where identity is the
   ``(generator, sequence)`` pair — so push order (and therefore
-  generator interleaving or pre-generation sharding) cannot change
-  the service order;
-* ``workers`` only shards open-loop *pre-generation*; the per-
-  generator streams are independent of the sharding, and the merged
-  event list is heapified from a canonical sort.
+  generator interleaving) cannot change the service order;
+* open-loop arrivals are pre-generated per generator and heapified
+  from a canonical sort.
 
 The result: ``run()`` is bit-identical for a given ``(profile, seed,
-horizon)`` across worker counts — the property suite holds this as an
-invariant.
+horizon)`` — the property suite holds this as an invariant.
 """
 
 from __future__ import annotations
@@ -276,43 +273,27 @@ class LoadEngine:
 
     # -- arrival pre-generation ----------------------------------------------
 
-    def _open_arrivals(self, horizon_ns: float, workers: int) -> List[Any]:
+    def _open_arrivals(self, horizon_ns: float) -> List[Any]:
         """Every open-loop arrival event, canonically ordered.
 
-        ``workers`` shards the generators; each generator's stream is a
-        pure function of ``(seed, name)``, so the shard assignment (and
-        thread scheduling, when threaded) cannot change the result.
+        Each generator's stream is a pure function of ``(seed, name)``,
+        so generator listing order cannot change the result.
         """
-        specs = list(enumerate(self.profile.open_loops))
-
-        def generate(shard: List[Any]) -> List[Any]:
-            events = []
-            for __, spec in shard:
-                for seq, (time_ns, template) in enumerate(
-                    spec.arrivals(self.seed, horizon_ns)
-                ):
-                    events.append((
-                        time_ns, _ARRIVE, (spec.name, seq), 0,
-                        (spec.name, -1, seq, template),
-                    ))
-            return events
-
-        if workers <= 1 or len(specs) <= 1:
-            shards = [generate(specs)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                shards = list(pool.map(
-                    generate, [specs[i::workers] for i in range(workers)]
+        events = []
+        for spec in self.profile.open_loops:
+            for seq, (time_ns, template) in enumerate(
+                spec.arrivals(self.seed, horizon_ns)
+            ):
+                events.append((
+                    time_ns, _ARRIVE, (spec.name, seq), 0,
+                    (spec.name, -1, seq, template),
                 ))
-        events = [event for shard in shards for event in shard]
         events.sort(key=lambda event: event[:4])
         return events
 
     # -- the event loop ------------------------------------------------------
 
-    def run(self, horizon_ns: float, workers: int = 1) -> LoadResult:
+    def run(self, horizon_ns: float) -> LoadResult:
         """Simulate ``horizon_ns`` of traffic (draining in-flight work).
 
         New arrivals stop at the horizon; queued and in-service
@@ -370,7 +351,7 @@ class LoadEngine:
                 )
         node_backlog = [0] * profile.nodes
 
-        heap: List[Any] = self._open_arrivals(horizon_ns, workers)
+        heap: List[Any] = self._open_arrivals(horizon_ns)
         heapq.heapify(heap)
 
         for spec in profile.closed_loops:

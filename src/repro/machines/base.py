@@ -148,18 +148,11 @@ class Machine:
         nwords: int = DEFAULT_MEASURE_WORDS,
         strides: Tuple[int, ...] = (2, 4, 8, 16, 32, 64),
         use_cache: bool = True,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        engine: str = "cell",
     ) -> ThroughputTable:
         """Calibration derived by running the simulators (Section 4).
 
         Repeat calls are served from the calibration cache
         (:mod:`repro.caching`); ``use_cache=False`` remeasures.
-        ``workers`` > 1 shards the measurement grid across processes
-        via :mod:`repro.sweep`; ``engine="batch"`` evaluates it through
-        the vectorized sweep engine (:mod:`repro.sweep.batch`).  The
-        table is bit-identical either way.
         """
         from .measure import measure_table
 
@@ -169,9 +162,6 @@ class Machine:
             nwords=nwords,
             strides=strides,
             use_cache=use_cache,
-            workers=workers,
-            shard_size=shard_size,
-            engine=engine,
         )
 
     # -- models -------------------------------------------------------------------

@@ -9,9 +9,8 @@ a ready-to-use :class:`~repro.core.calibration.ThroughputTable`.
 The measurement grid is exposed as data: :func:`calibration_entries`
 enumerates the ``(letter, read, write)`` entries a machine supports and
 :func:`measure_entry` evaluates one of them, so the sweep engine
-(:mod:`repro.sweep`) can shard a calibration across worker processes.
-``measure_table(workers=4)`` routes through that path for built-in
-machines; the assembled table is identical to the serial one.
+(:mod:`repro.sweep`) can shard a calibration across worker processes
+(``python -m repro sweep --grid calibration``).
 
 Tables are cached through :mod:`repro.caching` — an in-process LRU
 plus an on-disk layer — keyed by a content hash of everything the
@@ -94,8 +93,8 @@ def calibration_entries(
     """Every entry :func:`measure_table` measures for this machine.
 
     The list is a pure function of the machine's capabilities and the
-    stride anchors — the sharded and serial paths measure exactly the
-    same grid.
+    stride anchors — a calibration sweep and :func:`measure_table`
+    measure exactly the same grid.
     """
     entries: list = [("C", "1", "1"), ("C", "1", "w"), ("C", "w", "1")]
     for s in strides:
@@ -206,12 +205,8 @@ def measurement_cache_key(
     :data:`MEASURE_VERSION` (bumped whenever the measurement procedure
     itself changes meaning).
 
-    :data:`~repro.core.batch.BATCH_VERSION` participates for the same
-    reason: the batched engine and the scalar oracle share this cache
-    (their tables are bit-identical by construction), so a change to
-    the batching semantics must orphan every entry either of them
-    wrote rather than let results produced under different batching
-    rules collide.
+    :data:`~repro.core.batch.BATCH_VERSION` participates as well, so
+    a change to the batching semantics orphans every stored table.
     """
     from ..caching import content_key
 
@@ -234,80 +229,12 @@ def measurement_cache_key(
     )
 
 
-def _measure_serial(
-    table: ThroughputTable,
-    machine: Machine,
-    congestion: int,
-    nwords: int,
-    strides: Tuple[int, ...],
-) -> None:
-    node = machine.node_memory(nwords=nwords)
-    for entry in calibration_entries(machine, strides):
-        letter, read, write = entry
-        table.set(
-            _KIND_BY_LETTER[letter],
-            _table_key(read),
-            _table_key(write),
-            measure_entry(machine, node, entry, congestion=congestion),
-        )
-
-
-def _measure_sharded(
-    table: ThroughputTable,
-    machine: Machine,
-    congestion: int,
-    nwords: int,
-    strides: Tuple[int, ...],
-    workers: int,
-    shard_size: Optional[int],
-    engine: str = "cell",
-) -> bool:
-    """Measure via the sweep engine; False if the machine isn't
-    a registry built-in (sweep cells name machines by key)."""
-    from ..sweep import MACHINE_KEYS, calibration_spec, run_sweep
-    from ..sweep.worker import machine_by_key
-
-    # Workers rebuild machines from registry keys, so the sharded path
-    # only applies when `machine` is equivalent to a registry built-in.
-    # "Equivalent" is judged by the measurement cache key — the exact
-    # set of inputs the resulting table depends on — so renamed or
-    # ablated variants fall back to the serial path.
-    want = measurement_cache_key(machine, congestion, nwords, strides)
-    key = None
-    for candidate in MACHINE_KEYS:
-        have = measurement_cache_key(
-            machine_by_key(candidate), congestion, nwords, strides
-        )
-        if have == want:
-            key = candidate
-            break
-    if key is None:
-        return False
-    spec = calibration_spec(
-        key, nwords=nwords, strides=strides, congestion=congestion
-    )
-    result = run_sweep(
-        spec, workers=workers, shard_size=shard_size, engine=engine
-    )
-    for cell, row in zip(result.cells, result.rows):
-        table.set(
-            _KIND_BY_LETTER[cell.style],
-            _table_key(cell.x),
-            _table_key(cell.y),
-            row["mbps"],
-        )
-    return True
-
-
 def measure_table(
     machine: Machine,
     congestion: Optional[int] = None,
     nwords: int = DEFAULT_MEASURE_WORDS,
     strides: Tuple[int, ...] = DEFAULT_STRIDES,
     use_cache: bool = True,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    engine: str = "cell",
 ) -> ThroughputTable:
     """Measure a full calibration table on the simulators.
 
@@ -321,17 +248,6 @@ def measure_table(
         use_cache: Consult/populate the calibration cache
             (:mod:`repro.caching`).  ``False`` always remeasures and
             leaves the cache untouched.
-        workers: With a value > 1, shard the measurement grid across
-            worker processes via :mod:`repro.sweep` (built-in machines
-            only; variants fall back to the serial path).  The table is
-            identical to the serial one either way.
-        shard_size: Cells per shard for the parallel path.
-        engine: ``"batch"`` routes the grid through the sweep engine's
-            batched strategy (:mod:`repro.sweep.batch`) — built-in
-            machines only, like ``workers`` — instead of the scalar
-            per-entry loop.  The table is bit-identical either way,
-            which is why the cache key does not depend on the engine
-            (only on :data:`~repro.core.batch.BATCH_VERSION`).
     """
     if congestion is None:
         congestion = machine.network.default_congestion
@@ -344,20 +260,15 @@ def measure_table(
     table = ThroughputTable(
         f"{machine.name} (simulated, congestion {congestion})"
     )
-    sharded = False
-    if (workers is not None and workers > 1) or engine == "batch":
-        sharded = _measure_sharded(
-            table,
-            machine,
-            congestion,
-            nwords,
-            strides,
-            workers or 1,
-            shard_size,
-            engine,
+    node = machine.node_memory(nwords=nwords)
+    for entry in calibration_entries(machine, strides):
+        letter, read, write = entry
+        table.set(
+            _KIND_BY_LETTER[letter],
+            _table_key(read),
+            _table_key(write),
+            measure_entry(machine, node, entry, congestion=congestion),
         )
-    if not sharded:
-        _measure_serial(table, machine, congestion, nwords, strides)
     if use_cache:
         default_cache().store(key, table)
     return table

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..faults.degrade import DegradedResult
-from ..faults.spec import FaultPlan, current_fault_plan
+from ..faults.spec import FaultPlan
 from ..trace.tracer import current_tracer
 from .engine import CommRuntime, MeasuredTransfer
 
@@ -130,21 +130,6 @@ class CommunicationStep:
         self.schedule_slack = schedule_slack
         self.sync_per_message_ns = sync_per_message_ns
 
-    def _fault_plan(self) -> Optional[FaultPlan]:
-        """The fault plan governing this step, ``None`` when healthy.
-
-        Mirrors :meth:`CommRuntime.transfer`'s fast exit: an explicit
-        runtime plan (even an empty one) shadows the context plan, and
-        emptiness — precomputed on the plan — resolves to ``None`` here
-        so no per-flow fault bookkeeping runs under a no-op plan.
-        """
-        if self.runtime.faults is not None:
-            return self.runtime._standing_plan
-        plan = current_fault_plan()
-        if plan is not None and plan.is_empty():
-            return None
-        return plan
-
     def _congestion(self, plan: Optional[FaultPlan] = None) -> float:
         model = self.runtime.machine.network_model()
         if plan is not None:
@@ -207,7 +192,7 @@ class CommunicationStep:
 
     def run(self, style: OperationStyle = OperationStyle.CHAINED) -> StepResult:
         """Execute the step and report per-node throughput."""
-        plan = self._fault_plan()
+        plan = self.runtime.active_fault_plan()
         congestion = self._congestion(plan)
         messages = self._messages_per_node()
         src: Optional[int] = None

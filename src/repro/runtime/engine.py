@@ -442,19 +442,26 @@ class CommRuntime:
             if isinstance(style, OperationStyle)
             else OperationStyle(style)
         )
-        # Fast exit before any per-phase fault bookkeeping: an explicit
-        # plan (even an empty one) shadows the context plan, and an
-        # empty plan in either position resolves to "no faults" here,
-        # once, so _execute never consults a plan that injects nothing.
-        if self.faults is not None:
-            plan = self._standing_plan
-        else:
-            plan = current_fault_plan()
-            if plan is not None and plan.is_empty():
-                plan = None
         return self._execute(
-            x, y, nbytes, style, congestion, duplex, analyze, plan, src, dst
+            x, y, nbytes, style, congestion, duplex, analyze,
+            self.active_fault_plan(), src, dst,
         )
+
+    def active_fault_plan(self) -> Optional[FaultPlan]:
+        """The fault plan governing this runtime now, ``None`` if healthy.
+
+        An explicit runtime plan (even an empty one) shadows the
+        context plan (:func:`repro.faults.injecting`), and an empty
+        plan in either position resolves to ``None``, so callers never
+        run per-phase or per-flow fault bookkeeping under a plan that
+        injects nothing.
+        """
+        if self.faults is not None:
+            return self._standing_plan
+        plan = current_fault_plan()
+        if plan is not None and plan.is_empty():
+            return None
+        return plan
 
     def _execute(
         self,

@@ -1,9 +1,12 @@
 """Batched sweep execution: whole grids as vectorized numpy passes.
 
-The scalar strategy (:func:`repro.sweep.worker.run_cell`) answers one
-cell at a time; even with memoized tables the per-cell orchestration —
-model walk, pipeline simulation chunk by chunk in Python — dominates a
-grid run.  This module evaluates a list of cells **as a batch**:
+:func:`run_cells_batched` is the one executor of sweep cells:
+:func:`repro.sweep.run_sweep` hands it the whole grid in-process, and
+each pool worker hands it its own shard.  The scalar oracle
+(:func:`repro.sweep.worker.run_cell`) answers one cell at a time; even
+with memoized tables the per-cell orchestration — model walk, pipeline
+simulation chunk by chunk in Python — dominates a grid run.  This
+module evaluates a list of cells **as a batch**:
 
 * nominal transfer cells are grouped by ``(machine, model source)``
   for the model estimates — distinct ``(x, y, style)`` queries are
@@ -18,12 +21,13 @@ grid run.  This module evaluates a list of cells **as a batch**:
   :class:`~repro.memsim.node.NodeMemorySystem` harness through
   :func:`repro.machines.measure.measure_entries`, so the engine-keyed
   kernel memo deduplicates repeated entries;
-* everything else — fault-seeded cells, runs under an ambient
-  :func:`repro.faults.injecting` plan, and any shape the vector path
-  cannot express (a composition the runtime rejects, a missing
-  calibration entry) — **falls back per cell to the scalar oracle**,
-  in canonical order, so errors and results are exactly those of the
-  scalar path.  Same envelope discipline as the memsim fastpath.
+* everything else — collective cells, fault-seeded cells, runs under
+  an ambient :func:`repro.faults.injecting` plan, and any shape the
+  vector path cannot express (a composition the runtime rejects, a
+  missing calibration entry) — **falls back per cell to the scalar
+  oracle**, in canonical order, so errors and results are exactly
+  those of the scalar path.  Same envelope discipline as the memsim
+  fastpath.
 
 Rows are bit-identical to the scalar strategy's (asserted by
 ``tests/properties/test_batch_parity.py`` and gated by
@@ -91,7 +95,7 @@ class _Lane:
 
 
 def _run_cell_checked(cell: SweepCell) -> Dict[str, Any]:
-    """The scalar oracle with the shard loop's canonical error wrap."""
+    """The scalar oracle, with failures wrapped as one :class:`SweepError`."""
     try:
         return worker.run_cell(cell)
     except SweepError:

@@ -1,20 +1,21 @@
-"""Sweep execution: serial reference, in-process batched, and pooled.
+"""Sweep execution: the serial reference and the batched executor.
 
-Three execution strategies, all producing bit-identical
-:class:`~repro.sweep.merge.SweepResult` payloads for the same spec:
+Both produce bit-identical :class:`~repro.sweep.merge.SweepResult`
+payloads for the same spec:
 
 * :func:`run_serial` — the *reference implementation*: a plain loop
   over the grid in canonical order, one fresh runtime per cell,
   exactly what the pre-sweep consumers did.  Slowest, simplest,
   obviously correct; the determinism tests compare everything else
   against it.
-* :func:`run_sweep` with ``workers <= 1`` — in-process execution of
-  the planned shards through the worker module's batched memos.
-* :func:`run_sweep` with ``workers > 1`` — a
-  :class:`~concurrent.futures.ProcessPoolExecutor` executing shards,
-  each worker batching its own shards and all workers sharing the
-  on-disk calibration cache; results are merged by canonical cell
-  index, never by completion order.
+* :func:`run_sweep` — every cell goes through
+  :func:`repro.sweep.batch.run_cells_batched`, which vectorizes what
+  it can and runs the rest through the scalar oracle.  With
+  ``workers <= 1`` the whole grid is one in-process batch.  With
+  ``workers > 1`` a :class:`~concurrent.futures.ProcessPoolExecutor`
+  runs the planned shards, each worker batching its own shard and all
+  workers sharing the on-disk calibration cache; results are merged
+  by canonical cell index, never by completion order.
 
 Shard lifecycle is observable through the trace layer: with a tracer
 installed (:func:`repro.trace.tracing`) the runner emits
@@ -34,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..trace.tracer import current_tracer
 from . import worker as worker_module
+from .batch import run_cells_batched
 from .merge import SweepResult, merge_rows
 from .plan import Shard, plan_shards
 from .spec import SweepError, SweepSpec
@@ -50,22 +52,14 @@ def _pool_context():
     )
 
 
-#: Execution engines ``run_sweep`` accepts: the scalar per-cell loop
-#: and the vectorized batch engine (:mod:`repro.sweep.batch`).
-ENGINES = ("cell", "batch")
-
-
-def _shard_payload(shard: Shard, engine: str = "cell"):
-    payload = (
+def _shard_payload(shard: Shard):
+    return (
         shard.index,
         tuple(
             (cell_index, cell.to_dict())
             for cell_index, cell in shard.cells
         ),
     )
-    # The two-element form stays the wire format for the default
-    # engine, so payloads round-trip to older consumers unchanged.
-    return payload if engine == "cell" else payload + (engine,)
 
 
 def run_serial(spec: SweepSpec, batched: bool = False) -> SweepResult:
@@ -165,37 +159,27 @@ def run_sweep(
     shard_size: Optional[int] = None,
     shuffle_seed: Optional[int] = None,
     preflight_verify: bool = False,
-    engine: str = "cell",
 ) -> SweepResult:
     """Plan, execute and deterministically merge one sweep.
 
     Args:
         spec: The grid to sweep.
-        workers: Process count; ``None``, 0 or 1 run the shards
-            in-process (no pool) through the same batched worker code.
-        shard_size: Cells per shard (default: a few shards per worker).
+        workers: Process count; ``None``, 0 or 1 run the whole grid
+            in-process as one batch (no pool).
+        shard_size: Cells per pool shard (default: a few shards per
+            worker).  Validated at any worker count.
         shuffle_seed: Deterministically permute shard submission order
             — a test knob proving completion order cannot leak into
             results.
         preflight_verify: Run the semantic verifier over every distinct
             transfer shape before executing the grid; blocking findings
             raise :class:`SweepError` and nothing executes.
-        engine: ``"cell"`` (default) executes one cell at a time
-            through the scalar oracle; ``"batch"`` evaluates the grid
-            as vectorized numpy passes (:mod:`repro.sweep.batch`) —
-            in-process over the whole grid when ``workers <= 1``, per
-            shard inside each pool worker otherwise.  The merged
-            payload and digest are bit-identical either way.
 
     Returns:
         A :class:`~repro.sweep.merge.SweepResult` whose canonical
         payload is bit-identical for any ``workers``/``shard_size``/
-        ``shuffle_seed``/``engine`` combination.
+        ``shuffle_seed`` combination.
     """
-    if engine not in ENGINES:
-        raise SweepError(
-            f"unknown sweep engine {engine!r}; choose from {ENGINES}"
-        )
     cells = spec.expand()
     n_verified = _preflight_verify(cells) if preflight_verify else None
     n_workers = max(1, workers or 1)
@@ -205,6 +189,10 @@ def run_sweep(
         workers=n_workers,
         shuffle_seed=shuffle_seed,
     )
+    if n_workers == 1:
+        # In-process the whole grid is one batch (maximal group
+        # sizes); the plan above only validated the shard knobs.
+        shards = (Shard(0, tuple(enumerate(cells))),)
     tracer = current_tracer()
     if tracer is not None:
         tracer.count("sweep.cells", len(cells))
@@ -213,21 +201,20 @@ def run_sweep(
 
     started = time.perf_counter()
     batch_stats: Dict[str, Any] = {}
-    if engine == "batch" and n_workers == 1:
-        # Whole grid through one batched pass: maximal group sizes.
-        from .batch import run_cells_batched
-
+    if n_workers == 1:
         report = run_cells_batched(cells)
         indexed_rows = list(enumerate(report.rows))
         batch_stats = {
             "batch_groups": report.groups,
             "batch_fallbacks": report.fallbacks,
         }
-    elif n_workers == 1:
-        indexed_rows = _run_shards_inline(shards, tracer, started)
+        if tracer is not None:
+            _trace_shard(
+                tracer, shards[0], started, started, time.perf_counter()
+            )
     else:
         indexed_rows = _run_shards_pooled(
-            shards, n_workers, tracer, started, engine
+            shards, n_workers, tracer, started
         )
     rows = merge_rows(cells, indexed_rows)
     elapsed = time.perf_counter() - started
@@ -245,7 +232,6 @@ def run_sweep(
         )
     stats: Dict[str, Any] = {
         "strategy": "pool" if n_workers > 1 else "inline",
-        "engine": engine,
         "workers": n_workers,
         "shards": len(shards),
         "shard_size": max((len(s) for s in shards), default=0),
@@ -272,27 +258,11 @@ def _trace_shard(
     )
 
 
-def _run_shards_inline(
-    shards: Tuple[Shard, ...], tracer, t0: float
-) -> List[Tuple[int, Dict[str, Any]]]:
-    indexed_rows: List[Tuple[int, Dict[str, Any]]] = []
-    for shard in shards:
-        shard_started = time.perf_counter()
-        __, rows = run_shard(_shard_payload(shard))
-        indexed_rows.extend(rows)
-        if tracer is not None:
-            _trace_shard(
-                tracer, shard, t0, shard_started, time.perf_counter()
-            )
-    return indexed_rows
-
-
 def _run_shards_pooled(
     shards: Tuple[Shard, ...],
     n_workers: int,
     tracer,
     t0: float,
-    engine: str = "cell",
 ) -> List[Tuple[int, Dict[str, Any]]]:
     indexed_rows: List[Tuple[int, Dict[str, Any]]] = []
     by_shard_index = {shard.index: shard for shard in shards}
@@ -305,9 +275,7 @@ def _run_shards_pooled(
         ) as pool:
             pending = {}
             for shard in shards:
-                future = pool.submit(
-                    run_shard, _shard_payload(shard, engine)
-                )
+                future = pool.submit(run_shard, _shard_payload(shard))
                 pending[future] = (shard, time.perf_counter())
             while pending:
                 done, __ = wait(

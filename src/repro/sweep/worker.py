@@ -282,11 +282,9 @@ def run_shard(
 ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]]]:
     """Execute one shard: ``(shard_index, ((cell_index, cell_dict), ...))``.
 
-    An optional third payload element selects the execution engine:
-    ``"cell"`` (default) runs the scalar per-cell loop, ``"batch"``
-    routes the shard through the vectorized engine
-    (:func:`repro.sweep.batch.run_cells_batched`) — bit-identical rows
-    either way.
+    The shard's cells go through the batch executor
+    (:func:`repro.sweep.batch.run_cells_batched`), which falls back to
+    :func:`run_cell` per cell wherever it cannot vectorize.
 
     Returns ``(shard_index, [(cell_index, row), ...])``.  Cell dicts
     (not :class:`SweepCell` objects) cross the process boundary so a
@@ -294,35 +292,17 @@ def run_shard(
     A failing cell aborts the whole shard with a :class:`SweepError`
     naming it — a silently absent cell must never reach the merge.
     """
-    shard_index, indexed_cells = payload[0], payload[1]
-    engine = payload[2] if len(payload) > 2 else "cell"
+    from .batch import run_cells_batched
+
+    shard_index, indexed_cells = payload
     if _INIT_ERROR is not None:
         raise SweepError(
             f"sweep worker initialization failed: {_INIT_ERROR}"
         )
-    if engine == "batch":
-        from .batch import run_cells_batched
-
-        cells = [
-            SweepCell.from_dict(cell_dict)
-            for __, cell_dict in indexed_cells
-        ]
-        report = run_cells_batched(cells)
-        return shard_index, [
-            (cell_index, row)
-            for (cell_index, __), row in zip(indexed_cells, report.rows)
-        ]
-    if engine != "cell":
-        raise SweepError(f"unknown sweep engine {engine!r}")
-    rows: List[Tuple[int, Dict[str, Any]]] = []
-    for cell_index, cell_dict in indexed_cells:
-        cell = SweepCell.from_dict(cell_dict)
-        try:
-            rows.append((cell_index, run_cell(cell)))
-        except SweepError:
-            raise
-        except Exception as exc:
-            raise SweepError(
-                f"cell {cell.cell_id!r} failed: {exc}"
-            ) from exc
-    return shard_index, rows
+    report = run_cells_batched(
+        [SweepCell.from_dict(cell_dict) for __, cell_dict in indexed_cells]
+    )
+    return shard_index, [
+        (cell_index, row)
+        for (cell_index, __), row in zip(indexed_cells, report.rows)
+    ]

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.bench import figure7, figure8
 from repro.bench.goldens import (
     GOLDEN_JSON_TARGETS,
     GOLDEN_SCHEMA,
@@ -67,6 +68,21 @@ def test_golden_values_unchanged(name):
     fresh = GOLDEN_TARGETS[name]()
     problems = compare_values(golden, fresh)
     assert not problems, render_mismatches(name, problems)
+
+
+@pytest.mark.parametrize("figure", [figure7, figure8])
+def test_swept_figure_grid_matches_the_direct_loop(figure):
+    # engine="batch" runs the pinned grid through run_sweep; the
+    # mapping, key order included, must equal the direct loop's.
+    direct = figure()
+    swept = figure(engine="batch")
+    assert list(swept) == list(direct)
+    assert swept == direct
+
+
+def test_unknown_figure_engine_rejected():
+    with pytest.raises(ValueError, match="unknown engine"):
+        figure7(engine="turbo")
 
 
 @pytest.mark.parametrize("name", ALL_JSON_TARGETS)

@@ -56,22 +56,6 @@ class TestReplay:
         other = LoadEngine(_steady(), seed=8).run(_HORIZON)
         assert first.digest() != other.digest()
 
-    def test_workers_do_not_change_the_payload(self):
-        profile = LoadProfile(
-            name="multi",
-            open_loops=tuple(
-                OpenLoopSpec(
-                    name=f"gen{index}",
-                    rate_per_s=2000.0,
-                    templates=(RequestTemplate(f"t{index}", nbytes=4096),),
-                )
-                for index in range(5)
-            ),
-        )
-        serial = LoadEngine(profile, seed=7).run(_HORIZON, workers=1)
-        threaded = LoadEngine(profile, seed=7).run(_HORIZON, workers=4)
-        assert serial.canonical_json() == threaded.canonical_json()
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ModelError):
             LoadEngine(_steady(), seed=-1)

@@ -85,30 +85,6 @@ class TestCacheKeyInputs:
         assert _key(t3d_machine) != before
 
 
-class TestCrossEngineCachePoisoning:
-    """The sweep engine (cell vs batch) deliberately does NOT
-    participate in the key: both engines produce bit-identical tables,
-    so they share cache entries.  The regression pinned here is the
-    *safety* of that sharing — a table written by one engine and served
-    to the other must be byte-for-byte the table the other engine would
-    have measured itself."""
-
-    def test_batch_and_cell_share_cache_entries(
-        self, t3d_machine, tmp_path, monkeypatch
-    ):
-        from repro.caching import CACHE_DIR_ENV, CACHE_ENV
-
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        batch = measure_table(t3d_machine, nwords=2048, engine="batch")
-        served = measure_table(t3d_machine, nwords=2048, engine="cell")
-        assert served.to_dict() == batch.to_dict()
-        fresh = measure_table(
-            t3d_machine, nwords=2048, engine="cell", use_cache=False
-        )
-        assert fresh.to_dict() == batch.to_dict()
-
-
 class TestCapabilityAblationTables:
     """The end-to-end consequence: an ablated machine measures a
     *different grid*, so conflating the keys would hand it wrong

@@ -1,13 +1,14 @@
 """Bit-identity of the batched sweep engine against the scalar oracle.
 
-The batch engine (:mod:`repro.sweep.batch`) is a pure performance
+The batch engine (:mod:`repro.sweep.batch`) executes every
+:func:`~repro.sweep.run_sweep` cell, and it is a pure performance
 strategy: grouping, broadcasting and vectorized folds may never change
 a single bit of the canonical payload.  These properties drive random
-:class:`~repro.sweep.SweepSpec` grids through ``engine="batch"`` and
+:class:`~repro.sweep.SweepSpec` grids through ``run_sweep`` and
 compare canonical JSON (hence SHA-256 digests) against the serial
-reference loop — including fault-seeded cells and other shapes the
-batch path cannot express, which must *fall back* to the scalar oracle
-per cell rather than drift.
+reference loop — including fault-seeded cells, collective cells and
+other shapes the batch path cannot express, which must *fall back* to
+the scalar oracle per cell rather than drift.
 
 Transfer grids use ``rates="paper"`` so Hypothesis can afford several
 examples; the simulated-rates surface is covered by the slow-marked
@@ -21,7 +22,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.sweep import NOMINAL_SEED, SweepSpec, run_serial, run_sweep
+from repro.sweep import (
+    NOMINAL_SEED,
+    SweepSpec,
+    collectives_spec,
+    run_serial,
+    run_sweep,
+)
 from repro.sweep.batch import run_cells_batched
 
 PAIR_POOL = (
@@ -92,7 +99,7 @@ class TestBatchBitIdentity:
     @given(spec=transfer_specs())
     def test_batch_engine_matches_serial_reference(self, spec):
         reference = run_serial(spec, batched=True)
-        batched = run_sweep(spec, workers=1, engine="batch")
+        batched = run_sweep(spec, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
         assert batched.digest() == reference.digest()
 
@@ -106,9 +113,7 @@ class TestBatchBitIdentity:
         self, spec, workers, shard_size
     ):
         reference = run_serial(spec, batched=True)
-        pooled = run_sweep(
-            spec, workers=workers, shard_size=shard_size, engine="batch"
-        )
+        pooled = run_sweep(spec, workers=workers, shard_size=shard_size)
         assert pooled.canonical_json() == reference.canonical_json()
 
     @SLOW_SETTINGS
@@ -119,13 +124,29 @@ class TestBatchBitIdentity:
         payload must still match the reference bit for bit."""
         seeded = dataclasses.replace(spec, seeds=(NOMINAL_SEED, 3, 11))
         reference = run_serial(seeded, batched=True)
-        batched = run_sweep(seeded, workers=1, engine="batch")
+        batched = run_sweep(seeded, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
         n_seeded = sum(
             1 for cell in batched.cells if cell.seed != NOMINAL_SEED
         )
         assert n_seeded > 0
         assert batched.stats["batch_fallbacks"] >= n_seeded
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collective_grid_falls_back_not_drift(self, workers):
+        """Collective cells reach ``run_cell`` only through the batch
+        fallback, in-process and inside each pool worker alike."""
+        spec = dataclasses.replace(
+            collectives_spec(
+                machines=("cluster",), nodes=(8,), seeds=(NOMINAL_SEED, 7)
+            ),
+            sizes=(1024,),
+        )
+        reference = run_serial(spec, batched=True)
+        swept = run_sweep(spec, workers=workers, shard_size=5)
+        assert swept.canonical_json() == reference.canonical_json()
+        if workers == 1:
+            assert swept.stats["batch_fallbacks"] == len(swept.cells)
 
 
 class TestFallbackEnvelope:
@@ -195,7 +216,7 @@ class TestSimulatedRatesParity:
         monkeypatch.setenv(CACHE_ENV, "off")
         spec = dataclasses.replace(calibration_spec("t3d"), nwords=4096)
         reference = run_serial(spec, batched=True)
-        batched = run_sweep(spec, workers=1, engine="batch")
+        batched = run_sweep(spec, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
 
     def test_figure7_grid_batch_vs_serial(self):
@@ -203,6 +224,6 @@ class TestSimulatedRatesParity:
 
         spec = figure7_spec()
         assert (
-            run_sweep(spec, workers=1, engine="batch").digest()
+            run_sweep(spec, workers=1).digest()
             == run_serial(spec, batched=True).digest()
         )

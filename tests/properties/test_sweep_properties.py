@@ -143,7 +143,7 @@ class TestDeterministicMerge:
         reference = run_sweep(spec, workers=1).digest()
         shuffled = run_sweep(
             spec,
-            workers=1,
+            workers=2,
             shard_size=shard_size,
             shuffle_seed=shuffle_seed,
         )
@@ -167,6 +167,39 @@ class TestDeterministicMerge:
             run_sweep(reloaded, workers=1).digest()
             == run_sweep(spec, workers=1).digest()
         )
+
+
+class TestCalibrationCacheStates:
+    """A simulated-rates sweep digests the same from an empty disk
+    cache, from a warm one, and with the cache switched off."""
+
+    def test_cold_warm_and_off_agree(self, tmp_path, monkeypatch):
+        from repro.caching import CACHE_DIR_ENV, CACHE_ENV, default_cache
+        from repro.sweep import worker as worker_module
+
+        spec = SweepSpec(
+            machines=("t3d",),
+            pairs=(("1", "64"), ("w", "1")),
+            sizes=(8192,),
+            rates="simulated",
+        )
+
+        def digest() -> str:
+            worker_module.reset_memos()
+            default_cache().clear()
+            return run_sweep(spec, workers=1).digest()
+
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        cold = digest()
+        stored = list((tmp_path / "tables").glob("*.json"))
+        assert stored, "the cold run wrote no table"
+        hits = default_cache().disk_hits
+        warm = digest()
+        assert default_cache().disk_hits > hits
+        monkeypatch.setenv(CACHE_ENV, "off")
+        off = digest()
+        assert cold == warm == off
 
 
 @pytest.mark.slow

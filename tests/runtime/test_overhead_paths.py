@@ -83,7 +83,7 @@ class TestFaultsOffFastExit:
             y=_Y,
             bytes_per_flow=_BYTES,
         )
-        assert step._fault_plan() is None
+        assert step.runtime.active_fault_plan() is None
         _forbid(monkeypatch, FaultPlan, "node_slowdown")
         _forbid(monkeypatch, FaultPlan, "wrap_topology")
         step.run()

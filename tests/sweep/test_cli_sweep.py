@@ -136,22 +136,6 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert "Traceback" not in out
 
-    def test_engine_batch_bit_identical_to_cell(self, tmp_path, capsys):
-        spec = _spec_file(tmp_path)
-        cell = _run_json(capsys, "--spec", spec)
-        batch = _run_json(capsys, "--spec", spec, "--engine", "batch")
-        assert cell == batch
-        assert cell["digest"] == batch["digest"]
-
-    def test_unknown_engine_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["sweep", "--spec", _spec_file(tmp_path),
-                 "--engine", "turbo"]
-            )
-        assert excinfo.value.code == EXIT_USAGE
-        capsys.readouterr()
-
 
 class TestFaultsSeedsCommand:
     def test_seed_population_report(self, capsys):

@@ -82,6 +82,12 @@ class TestStrategies:
         assert nominal["mbps"] > seeded["mbps"]
         assert "degraded" in seeded or seeded["retries"] >= 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shard_size", [0, -3])
+    def test_nonpositive_shard_size_rejected(self, workers, shard_size):
+        with pytest.raises(SweepError, match="shard size"):
+            run_sweep(FAST_SPEC, workers=workers, shard_size=shard_size)
+
     def test_failing_cell_aborts_with_cell_name(self):
         bad = SweepSpec(machines=("t3d",)).expand()[0].to_dict()
         bad["x"] = "not-a-pattern"
@@ -138,7 +144,7 @@ class TestWorkerCrash:
 class TestTracing:
     def test_sweep_emits_shard_spans_and_counters(self):
         with tracing() as tracer:
-            run_sweep(FAST_SPEC, workers=1, shard_size=4)
+            run_sweep(FAST_SPEC, workers=2, shard_size=4)
         counters = tracer.metrics.counters()
         assert counters["sweep.cells"] == 12
         assert counters["sweep.shards"] == 3
@@ -147,6 +153,15 @@ class TestTracing:
         assert {span.track for span in spans} == {"sweep"}
         (sweep_span,) = tracer.spans("sweep")
         assert sweep_span.args["cells"] == 12
+
+    def test_inline_sweep_is_one_batch(self):
+        # In-process the whole grid is one shard, whatever shard_size.
+        with tracing() as tracer:
+            result = run_sweep(FAST_SPEC, workers=1, shard_size=4)
+        assert tracer.metrics.counters()["sweep.shards"] == 1
+        (span,) = tracer.spans("shard")
+        assert span.args["cells"] == 12
+        assert result.stats["batch_groups"] > 0
 
 
 class TestWorkerHygiene:
