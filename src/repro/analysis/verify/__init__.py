@@ -2,8 +2,8 @@
 
 Where the linter (:mod:`repro.analysis.linter`) checks composition
 *syntax* — pattern matching, resource disjointness of explicit ``Par``
-nodes — this package checks plan *semantics*: it lowers communication
-plans, collective steps and runtime pipelines into a common plan IR
+nodes — this package checks plan *semantics*: it lowers expressions,
+communication plans and collective steps into a common plan IR
 (:mod:`~repro.analysis.verify.ir`) and runs dataflow passes over it
 (:mod:`~repro.analysis.verify.passes`):
 
@@ -42,7 +42,6 @@ from .ir import (
     NodeSchedule,
     PlanIR,
     lower_expr,
-    lower_pipeline,
     lower_plan,
     phase_partition,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "fault_class_names",
     "fault_coverage",
     "lower_expr",
-    "lower_pipeline",
     "lower_plan",
     "phase_bounds",
     "phase_partition",

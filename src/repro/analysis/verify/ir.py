@@ -2,12 +2,12 @@
 
 The verifier's passes (:mod:`repro.analysis.verify.passes`) should not
 care whether a schedule came from a composition expression, a
-compiler-emitted :class:`~repro.compiler.commgen.CommPlan`, a
-collective step's flow list, or the runtime's staged pipelines.  This
-module lowers all four into one representation:
+compiler-emitted :class:`~repro.compiler.commgen.CommPlan` or a
+collective step's flow list.  This module lowers all three into one
+representation:
 
-* an :class:`IRNode` is a unit of concurrent work — a basic transfer,
-  a plan operation, or a pipeline stage — carrying the resources it
+* an :class:`IRNode` is a unit of concurrent work — a basic transfer
+  or a plan operation — carrying the resources it
   claims **exclusively** (CPU, DMA, deposit engine, co-processor) and
   the capacity resources it merely **shares** (memory, bus, network);
 * an :class:`IREdge` is an ordering dependency: the source must finish
@@ -21,20 +21,18 @@ module lowers all four into one representation:
 Resource claims are plain strings.  Expression lowering uses the
 ``role:unit`` rendering of :class:`~repro.core.resources.Resource`
 (``"sender:cpu"``); plan lowering scopes claims to concrete nodes
-(``"node3:deposit"``); pipeline lowering reuses the runtime's stage
-resource names (``"receiver_deposit"``).  Two claims conflict exactly
+(``"node3:deposit"``).  Two claims conflict exactly
 when the strings are equal, so each lowering controls its own aliasing
 granularity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -50,7 +48,6 @@ from ..tree import compute_spans
 
 if TYPE_CHECKING:
     from ...compiler.commgen import CommPlan
-    from ...runtime.engine import _Phase
 
 __all__ = [
     "IRNode",
@@ -60,7 +57,6 @@ __all__ = [
     "PlanIR",
     "lower_expr",
     "lower_plan",
-    "lower_pipeline",
     "phase_partition",
 ]
 
@@ -77,9 +73,8 @@ class IRNode:
 
     Attributes:
         node_id: Unique id within the graph (``"op3"``, ``"e0.1"``).
-        kind: ``"op"`` (expression leaf or plan operation), ``"stage"``
-            (pipeline stage) or ``"phase"`` (a pure ordering barrier,
-            claiming nothing).
+        kind: ``"op"`` (expression leaf or plan operation) or
+            ``"phase"`` (a pure ordering barrier, claiming nothing).
         label: Human-readable name used in diagnostics.
         exclusive: Resources this node needs to itself.
         shared: Capacity resources this node loads but may share.
@@ -471,48 +466,4 @@ def lower_plan(
         edges=tuple(edges),
         schedules=_schedules_for(flows, phases, discipline),
         machine=machine,
-    )
-
-
-# -- pipeline lowering --------------------------------------------------------
-
-
-def lower_pipeline(
-    phases: Iterable["_Phase"],
-    machine: Optional[str] = None,
-    name: str = "pipeline",
-) -> PlanIR:
-    """Lower the runtime's staged phases to the plan IR.
-
-    Stages within a phase chain in order (stage *i* feeds stage
-    *i+1*), and phases chain end to end — exactly the precedence the
-    chunked :class:`~repro.runtime.stages.StagePipeline` honours.
-    Stage resources that denote engines (CPU, DMA, deposit,
-    co-processor) are exclusive claims; the network is shared.
-    """
-    nodes: List[IRNode] = []
-    edges: List[IREdge] = []
-    previous_exit: Optional[str] = None
-    for phase in phases:
-        for index, stage in enumerate(phase.stages):
-            node_id = f"{phase.name}.{index}"
-            is_engine = stage.resource != "network"
-            nodes.append(
-                IRNode(
-                    node_id=node_id,
-                    kind="stage",
-                    label=f"{phase.name}/{stage.name}",
-                    exclusive=(
-                        frozenset({stage.resource}) if is_engine else frozenset()
-                    ),
-                    shared=(
-                        frozenset() if is_engine else frozenset({stage.resource})
-                    ),
-                )
-            )
-            if previous_exit is not None:
-                edges.append(IREdge(previous_exit, node_id))
-            previous_exit = node_id
-    return PlanIR(
-        name=name, nodes=tuple(nodes), edges=tuple(edges), machine=machine
     )

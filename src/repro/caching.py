@@ -26,7 +26,6 @@ Set ``REPRO_CACHE=off`` to disable both layers process-wide.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -35,7 +34,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .core.calibration import ThroughputTable
-from .core.serialization import table_from_dict, table_to_dict
+from .core.serialization import (
+    canonical_digest,
+    table_from_dict,
+    table_to_dict,
+)
 from .trace.tracer import current_tracer
 
 __all__ = [
@@ -80,10 +83,7 @@ def _canonical(value: Any) -> Any:
 
 def content_key(*parts: Any) -> str:
     """A stable hex digest of arbitrary (mostly-dataclass) key parts."""
-    payload = json.dumps(
-        _canonical(parts), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return canonical_digest(_canonical(parts))
 
 
 def _caching_disabled() -> bool:

@@ -49,7 +49,7 @@ import numpy as np
 from .calibration import ThroughputTable
 from .composition import Expr, Par, Seq, Term
 from .constraints import ResourceConstraint
-from .errors import CompositionError, ModelError
+from .errors import ModelError
 from .operations import OperationStyle
 from .patterns import AccessPattern
 from .throughput import evaluate
@@ -57,10 +57,8 @@ from .throughput import evaluate
 __all__ = [
     "BATCH_VERSION",
     "BatchUnsupported",
-    "BatchChoice",
     "evaluate_many",
     "estimate_many",
-    "advise_many",
     "solve_pipeline_group",
     "expr_shape",
 ]
@@ -226,14 +224,6 @@ def evaluate_many(
 Query = Tuple[AccessPattern, AccessPattern, Union[OperationStyle, str]]
 
 
-@dataclass(frozen=True)
-class BatchChoice:
-    """The batched advisor's pick for one ``xQy`` pair."""
-
-    style: OperationStyle
-    mbps: float
-
-
 def estimate_many(model, queries: Sequence[Query]) -> List[float]:
     """Throughput estimates for many ``(x, y, style)`` queries.
 
@@ -267,56 +257,7 @@ def estimate_many(model, queries: Sequence[Query]) -> List[float]:
     return out
 
 
-def advise_many(
-    model, pairs: Sequence[Tuple[AccessPattern, AccessPattern]]
-) -> List[BatchChoice]:
-    """Batched style advisor: the faster style for each ``xQy`` pair.
-
-    Agrees with :meth:`repro.core.model.CopyTransferModel.choose` on
-    both the winning style (ties broken in ``OperationStyle``
-    declaration order, like the scalar advisor's ``max``) and the
-    winning throughput, bit for bit.
-    """
-    feasible: List[Tuple[int, OperationStyle, Expr]] = []
-    for index, (x, y) in enumerate(pairs):
-        for style in OperationStyle:
-            try:
-                expr = model.build(x, y, style)
-            except CompositionError:
-                continue
-            feasible.append((index, style, expr))
-    values = evaluate_many(
-        [expr for __, __, expr in feasible],
-        model.table,
-        constraints=tuple(model.constraints),
-    )
-    best: Dict[int, BatchChoice] = {}
-    for (index, style, __), mbps in zip(feasible, values):
-        incumbent = best.get(index)
-        if incumbent is None or mbps > incumbent.mbps:
-            best[index] = BatchChoice(style, mbps)
-    choices: List[BatchChoice] = []
-    for index, (x, y) in enumerate(pairs):
-        if index not in best:
-            raise ModelError(f"no feasible implementation of {x}Q{y}")
-        choices.append(best[index])
-    return choices
-
-
 # -- vectorized stage pipelines ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PhaseStructure:
-    """Shared structure of one phase across a lane group.
-
-    ``resource_slots[i]`` maps stage ``i`` to a dense resource index
-    (first-occurrence order), so stages sharing a slot serialize the
-    way same-named resources do in the scalar pipeline.
-    """
-
-    chunk_bytes: int
-    resource_slots: Tuple[int, ...]
 
 
 def solve_pipeline_group(

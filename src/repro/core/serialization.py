@@ -12,19 +12,30 @@ JSON with paper-notation keys::
 Keys parse back through the same notation rules the library prints
 with (``<read><letter><write>``, ``Nd``, ``Nadp``), so a table survives
 a round trip bit-exactly.
+
+Run results (sweeps, load reports, cache keys) are compared through
+:func:`canonical_json` and its :func:`canonical_digest`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
-from typing import Dict, Union
+from typing import Any, Dict, Union
 
 from .calibration import ThroughputTable
 from .errors import CalibrationError
 from .transfers import TransferKind
 
-__all__ = ["table_to_dict", "table_from_dict", "dump_table", "load_table"]
+__all__ = [
+    "canonical_digest",
+    "canonical_json",
+    "table_to_dict",
+    "table_from_dict",
+    "dump_table",
+    "load_table",
+]
 
 _NOTATION = re.compile(r"^(?P<read>0|1|w|\d+(?:x\d+)?)"
                        r"(?P<kind>[CSFRD])"
@@ -87,3 +98,14 @@ def load_table(path: str) -> ThroughputTable:
     """Read a table from a JSON file."""
     with open(path) as handle:
         return table_from_dict(json.load(handle))
+
+
+def canonical_json(payload: Any) -> str:
+    """Key-sorted, separator-pinned JSON: equal strings are the
+    bit-identity witness for two runs."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 hex digest of :func:`canonical_json`."""
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,7 +62,10 @@ class Shape:
         types: Python types the value must be an instance of (``bool``
             matches only when listed itself, never as an ``int``).
         minimum / maximum: Inclusive bounds on a number.
+        above / below: Exclusive bounds on a number.  A number held to
+            any bound must also be finite: NaN and +-inf fail them all.
         nonempty: The string, array or object must not be empty.
+        unique: The array's items must be distinct.
         choices: The value must equal one of these.
         required / optional: Object keys and the shapes of their values.
         closed: Object keys outside ``required``/``optional`` are errors.
@@ -77,7 +81,10 @@ class Shape:
     types: Union[type, Tuple[type, ...]] = ()
     minimum: Optional[float] = None
     maximum: Optional[float] = None
+    above: Optional[float] = None
+    below: Optional[float] = None
     nonempty: bool = False
+    unique: bool = False
     choices: Tuple[Any, ...] = ()
     required: Mapping[str, "Shape"] = field(default_factory=dict)
     optional: Mapping[str, "Shape"] = field(default_factory=dict)
@@ -125,16 +132,21 @@ def _walk(value: Any, shape: Shape, where: str, found: List[str]) -> None:
             f"{label}: expected one of {list(shape.choices)}, got {value!r}"
         )
         return
-    if shape.minimum is not None and value < shape.minimum:
-        bound = "negative" if shape.minimum == 0 else f"below {shape.minimum}"
-        found.append(f"{label}: is {bound} ({value!r})")
-        return
-    if shape.maximum is not None and value > shape.maximum:
-        found.append(f"{label}: is above {shape.maximum} ({value!r})")
+    broken = _broken_bound(value, shape)
+    if broken:
+        found.append(f"{label}: {broken} ({value!r})")
         return
     if shape.nonempty and not value:
         found.append(f"{label}: is empty")
         return
+    if shape.unique:
+        repeated: List[Any] = []
+        for index, item in enumerate(value):
+            if item in value[:index] and item not in repeated:
+                repeated.append(item)
+        if repeated:
+            found.append(f"{label}: has duplicate items {repeated}")
+            return
     before = len(found)
     if isinstance(value, dict):
         if shape.tag:
@@ -174,6 +186,24 @@ def _walk(value: Any, shape: Shape, where: str, found: List[str]) -> None:
         problem = shape.check(value)
         if problem:
             found.append(f"{label}: {problem}")
+
+
+def _broken_bound(value: Any, shape: Shape) -> Optional[str]:
+    """How the number ``value`` breaks ``shape``'s bounds, or ``None``."""
+    limits = (shape.minimum, shape.above, shape.maximum, shape.below)
+    if all(limit is None for limit in limits):
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return "is not finite"
+    if shape.minimum is not None and value < shape.minimum:
+        return "is negative" if shape.minimum == 0 else f"is below {shape.minimum}"
+    if shape.above is not None and value <= shape.above:
+        return "is not positive" if shape.above == 0 else f"is not above {shape.above}"
+    if shape.maximum is not None and value > shape.maximum:
+        return f"is above {shape.maximum}"
+    if shape.below is not None and value >= shape.below:
+        return f"is not below {shape.below}"
+    return None
 
 
 def replays(parse: Callable[[Any], Any]) -> Callable[[Any], Optional[str]]:

@@ -66,7 +66,7 @@ class RetryPolicy(JsonInput):
     timeout_ns: float = bounded(50_000.0, minimum=0.0)
     backoff_base_ns: float = bounded(10_000.0, minimum=0.0)
     backoff_factor: float = bounded(2.0, minimum=1.0)
-    backoff_cap_ns: float = 400_000.0
+    backoff_cap_ns: float = bounded(400_000.0, minimum=0.0)
     max_attempts: int = bounded(8, minimum=1)
     granularity: str = bounded("fragment", choices=_GRANULARITIES)
     retry_budget: float = bounded(1.0, minimum=0.0, maximum=1.0)

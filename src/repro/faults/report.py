@@ -18,7 +18,7 @@ replays ``--seed 7`` and validates the emitted payload with
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..core.shapes import NUMBER, Shape, problems, replays
 from .spec import FaultPlan
@@ -28,15 +28,11 @@ __all__ = ["SCHEMA", "validate_faults_report"]
 SCHEMA = "repro-faults-report/1"
 
 
-def _positive(value: Any) -> Optional[str]:
-    return None if value > 0 else "must be a positive number"
-
-
 _NAME = Shape(str, nonempty=True)
 
 _RUN = {
-    "mbps": Shape(NUMBER, check=_positive),
-    "ns": Shape(NUMBER, check=_positive),
+    "mbps": Shape(NUMBER, above=0),
+    "ns": Shape(NUMBER, above=0),
     "phase_ns": Shape(
         dict, nullable=True, values=Shape(NUMBER, minimum=0)
     ),

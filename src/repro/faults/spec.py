@@ -75,14 +75,11 @@ class LinkFault:
 
     src: Optional[int] = None
     dst: Optional[int] = None
-    derate: float = 1.0
+    derate: float = bounded(1.0, above=0.0, maximum=1.0)
     failed: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.derate <= 1.0:
-            raise FaultError(
-                f"link derate must be in (0, 1], got {self.derate}"
-            )
+        check_fields(self, FaultError)
         if (self.src is None) != (self.dst is None):
             raise FaultError("a link fault needs both endpoints or neither")
         if self.failed and self.src is None:
@@ -118,15 +115,11 @@ class FragmentFault:
             receipt; retransmitted without waiting for a timeout).
     """
 
-    loss: float = 0.0
-    corrupt: float = 0.0
+    loss: float = bounded(0.0, minimum=0.0, below=1.0)
+    corrupt: float = bounded(0.0, minimum=0.0, below=1.0)
 
     def __post_init__(self) -> None:
-        for name, p in (("loss", self.loss), ("corrupt", self.corrupt)):
-            if not 0.0 <= p < 1.0:
-                raise FaultError(
-                    f"fragment {name} probability must be in [0, 1), got {p}"
-                )
+        check_fields(self, FaultError)
 
 
 def _combined(probabilities: Sequence[float]) -> float:

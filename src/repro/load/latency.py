@@ -1,11 +1,11 @@
 """End-to-end latency accounting for the traffic engine.
 
 A :class:`LatencyStore` records one value per completed request and
-summarizes the distribution with nearest-rank percentiles — the same
-convention as :meth:`repro.trace.metrics.MetricsRegistry.percentile`,
-so ``p50`` of a single sample is that sample, and percentiles are
-always actual observed values (no interpolation, no surprises in the
-tail).
+summarizes the distribution with nearest-rank percentiles
+(:func:`repro.trace.metrics.nearest_rank`, which
+:meth:`~repro.trace.metrics.MetricsRegistry.percentile` uses too), so
+``p50`` of a single sample is that sample, and percentiles are always
+actual observed values (no interpolation, no surprises in the tail).
 
 Percentile queries on an empty store raise
 :class:`~repro.core.errors.LoadError` — there is no honest answer, and
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..core.errors import LoadError
+from ..trace.metrics import nearest_rank
 
 __all__ = ["LatencyStore"]
 
@@ -53,18 +54,13 @@ class LatencyStore:
                 no percentiles; check ``len(store)`` (or read
                 :meth:`summary`, which reports zeros) instead.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        values = self._ordered()
-        if not values:
+        value = nearest_rank(self._ordered(), q)
+        if value is None:
             raise LoadError(
                 "percentile of an empty latency store is undefined "
                 "(no samples recorded)"
             )
-        rank = max(
-            0, min(len(values) - 1, round(q / 100.0 * (len(values) - 1)))
-        )
-        return values[rank]
+        return value
 
     def summary(self) -> Dict[str, Any]:
         """The report's ``latency_ns`` object (zeros when empty)."""

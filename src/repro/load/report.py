@@ -31,10 +31,10 @@ replays, worker counts and host machines.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, List, Optional
 
+from ..core.serialization import canonical_digest as digest
+from ..core.serialization import canonical_json
 from ..core.shapes import NUMBER, Shape, problems, replays
 from ..faults.spec import FaultPlan
 from .overload import OverloadSpec
@@ -62,16 +62,6 @@ _GENERATOR_KEYS = (
 )
 
 _BREAKER_STATES = ("closed", "open", "half-open")
-
-
-def canonical_json(payload: Any) -> str:
-    """Key-sorted, separator-pinned JSON — the replay-equality witness."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def digest(payload: Any) -> str:
-    """SHA-256 of :func:`canonical_json` (cheap bit-identity check)."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def _percentiles_in_order(latency: Any) -> Optional[str]:

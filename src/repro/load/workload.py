@@ -41,6 +41,20 @@ __all__ = [
 ]
 
 
+def checked_multiplier(multiplier: float) -> float:
+    """``multiplier`` as a float once it is a usable load multiplier.
+
+    Raises:
+        LoadError: It is not finite and positive.
+    """
+    value = float(multiplier)
+    if not (math.isfinite(value) and value > 0.0):
+        raise LoadError(
+            f"load multiplier must be finite and positive, got {multiplier}"
+        )
+    return value
+
+
 def exponential(mean: float, seed: int, *key: Any) -> float:
     """A reproducible exponential draw with the given mean."""
     # 1 - u is in (0, 1], so the log never sees zero.
@@ -113,7 +127,7 @@ class OpenLoopSpec(JsonInput):
     parse_error = LoadError
 
     name: str
-    rate_per_s: float
+    rate_per_s: float = bounded(above=0.0)
     burst: int = bounded(1, minimum=1)
     templates: Tuple[RequestTemplate, ...] = bounded(
         default_factory=lambda: (RequestTemplate("default"),), nonempty=True
@@ -121,8 +135,6 @@ class OpenLoopSpec(JsonInput):
 
     def __post_init__(self) -> None:
         check_fields(self, LoadError)
-        if self.rate_per_s <= 0.0:
-            raise ModelError(f"generator {self.name!r}: rate must be positive")
 
     def arrivals(self, seed: int, horizon_ns: float):
         """Yield ``(time_ns, template)`` arrivals up to ``horizon_ns``.
@@ -212,15 +224,13 @@ class LoadProfile(JsonInput):
     closed_loops: Tuple[ClosedLoopSpec, ...] = ()
     dispatch: str = "round-robin"
     discipline: str = bounded("fifo", choices=("fifo", "priority"))
-    congestion: float = 1.0
+    congestion: float = bounded(1.0, minimum=1.0)
     overload: Optional[OverloadSpec] = None
 
     def __post_init__(self) -> None:
         check_fields(self, LoadError)
         if not self.open_loops and not self.closed_loops:
-            raise ModelError(
-                f"profile {self.name!r} has no generators"
-            )
+            raise ModelError(f"profile {self.name!r} has no generators")
         names = [spec.name for spec in self.generators]
         if len(set(names)) != len(names):
             # Streams, home nodes and event identities are all keyed on
@@ -244,10 +254,7 @@ class LoadProfile(JsonInput):
         latency-curve sweep uses this to walk a profile through
         arrival-rate multipliers without hand-editing generators.
         """
-        if multiplier <= 0.0:
-            raise ModelError(
-                f"load multiplier must be positive, got {multiplier}"
-            )
+        multiplier = checked_multiplier(multiplier)
         if multiplier == 1.0:
             return self
         return replace(

@@ -131,11 +131,9 @@ class CommunicationStep:
         self.sync_per_message_ns = sync_per_message_ns
 
     def _congestion(self, plan: Optional[FaultPlan] = None) -> float:
-        model = self.runtime.machine.network_model()
-        if plan is not None:
-            # Failed links reroute the pattern's flows and derated ones
-            # weight their load; both lift the worst-link congestion.
-            model.topology = plan.wrap_topology(model.topology)
+        # Under a plan, failed links reroute the pattern's flows and
+        # derated ones weight their load; both lift the worst-link
+        # congestion.
         if self.scheduled:
             # Phase-schedule the pattern (shift schedule for complete
             # exchanges, greedy otherwise) and take the worst per-phase
@@ -150,6 +148,9 @@ class CommunicationStep:
             per_phase = scheduled_congestion(topology, self.flows)
             floor = max(1, self.runtime.machine.network.port_sharing)
             return float(max(per_phase, floor)) * self.schedule_slack
+        model = self.runtime.machine.network_model()
+        if plan is not None:
+            model.topology = plan.wrap_topology(model.topology)
         return model.congestion_for(self.flows)
 
     def _sample_flow(self, plan: Optional[FaultPlan]) -> Flow:

@@ -369,9 +369,10 @@ class CommRuntime:
     ) -> List[_Phase]:
         """The stage pipeline a transfer would execute, without running it.
 
-        This is the static view the plan verifier lowers into its IR:
-        the same ``_Phase`` list :meth:`transfer` builds, with no
-        measurement, fault charging or degradation applied.  Raises
+        The sweep's batch executor (:mod:`repro.sweep.batch`) solves
+        these phases for many cells at once: the same ``_Phase`` list
+        :meth:`transfer` builds, with no measurement, fault charging or
+        degradation applied.  Raises
         :class:`CompositionError` exactly when :meth:`transfer` would.
         """
         if nbytes <= 0:

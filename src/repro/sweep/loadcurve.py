@@ -23,12 +23,12 @@ definition of "the curve went vertical here".
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.errors import LoadError
 from ..faults.spec import FaultPlan
 from ..load.engine import LoadEngine, valid_horizon
-from ..load.workload import LoadProfile
+from ..load.workload import LoadProfile, checked_multiplier
 from .runner import _pool_context
 
 __all__ = ["CURVE_SCHEMA", "run_load_curve"]
@@ -40,21 +40,15 @@ DEFAULT_MULTIPLIERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 
 def _check_multipliers(multipliers: Sequence[float]) -> Tuple[float, ...]:
-    values = tuple(float(m) for m in multipliers)
+    values = tuple(checked_multiplier(m) for m in multipliers)
     if not values:
         raise LoadError("latency curve needs at least one multiplier")
-    previous = 0.0
-    for value in values:
-        if value <= 0.0:
-            raise LoadError(
-                f"load multipliers must be positive, got {value}"
-            )
+    for previous, value in zip(values, values[1:]):
         if value <= previous:
             raise LoadError(
                 "load multipliers must be strictly increasing, got "
                 f"{value} after {previous}"
             )
-        previous = value
     return values
 
 

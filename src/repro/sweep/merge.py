@@ -15,11 +15,10 @@ canonical payload (:meth:`SweepResult.to_dict`) and the digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.serialization import canonical_digest, canonical_json
 from .spec import SweepCell, SweepError, SweepSpec
 
 __all__ = ["SweepResult", "merge_rows", "RESULT_SCHEMA"]
@@ -73,13 +72,11 @@ class SweepResult:
         these strings are equal — this is the representation the
         determinism tests and the digest are defined over.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of :meth:`canonical_json` (cheap equality witness)."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return canonical_digest(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepResult":

@@ -37,7 +37,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..core.operations import OperationStyle
-from ..core.shapes import JsonInput, bounded, check_fields
+from ..core.shapes import JsonInput, Shape, bounded, check_fields
+from ..runtime.collectives import ALGORITHMS, COLLECTIVE_OPS
 
 __all__ = [
     "SweepError",
@@ -71,6 +72,12 @@ _KINDS = ("transfer", "calibrate", "collective")
 _RATES = ("simulated", "paper")
 _DUPLEX = ("auto", "on", "off")
 
+#: Collective algorithm names: the model-driven selector, then every
+#: concrete algorithm in first-listed order.
+_ALGORITHMS = tuple(dict.fromkeys(
+    ("auto", *(name for names in ALGORITHMS.values() for name in names))
+))
+
 #: Calibration entry letters a calibrate cell's ``style`` may carry
 #: (paper notation: C copy, S load-send, F fetch-send/DMA, R
 #: receive-store, D deposit, plus the two network framing modes).
@@ -80,6 +87,16 @@ CALIBRATION_LETTERS = ("C", "S", "F", "R", "D", "Nd", "Nadp")
 class SweepError(ModelError):
     """A sweep failed: bad spec, a worker died, or the merge found
     missing/duplicate cells."""
+
+
+def _axis(
+    default: Any, items: Optional[Shape] = None, nonempty: bool = False
+) -> Any:
+    """A grid axis field: distinct values, each fitting ``items``."""
+    bounds: Dict[str, Any] = {"unique": True, "nonempty": nonempty}
+    if items is not None:
+        bounds["items"] = items
+    return bounded(default, **bounds)
 
 
 @dataclass(frozen=True, order=True)
@@ -162,107 +179,60 @@ class SweepSpec(JsonInput):
     sizes x nodes x seeds``; algorithms not defined for an op are
     skipped during expansion (so one spec can mix ops cleanly), and
     ``"auto"`` defers each cell to the model-driven selector.
+
+    Every field is checked against its bounds at construction: each
+    axis holds distinct values, names come from their registries, and
+    sizes, word and node counts are positive (nodes at least 2).
+    :meth:`validate` adds the rules that tie one field to another.
     """
 
     parse_error = SweepError
 
-    kind: str = "transfer"
-    machines: Tuple[str, ...] = ("t3d",)
-    x: Tuple[str, ...] = ("1",)
-    y: Tuple[str, ...] = ("64",)
-    pairs: Tuple[Tuple[str, str], ...] = ()
-    styles: Tuple[str, ...] = ("buffer-packing", "chained")
-    sizes: Tuple[int, ...] = (131072,)
-    seeds: Tuple[int, ...] = ()
+    kind: str = bounded("transfer", choices=_KINDS)
+    machines: Tuple[str, ...] = _axis(
+        ("t3d",), Shape(str, choices=MACHINE_KEYS), nonempty=True
+    )
+    x: Tuple[str, ...] = _axis(("1",))
+    y: Tuple[str, ...] = _axis(("64",))
+    pairs: Tuple[Tuple[str, str], ...] = _axis(())
+    styles: Tuple[str, ...] = _axis(
+        ("buffer-packing", "chained"),
+        Shape(str, choices=tuple(style.value for style in OperationStyle)),
+    )
+    sizes: Tuple[int, ...] = _axis(
+        (131072,), Shape(int, minimum=1), nonempty=True
+    )
+    seeds: Tuple[int, ...] = _axis((), Shape(int, minimum=NOMINAL_SEED))
     congestion: int = -1
-    rates: str = "simulated"
+    rates: str = bounded("simulated", choices=_RATES)
     model_source: str = bounded("paper", choices=_RATES)
     duplex: str = bounded("auto", choices=_DUPLEX)
-    nwords: int = 32768
-    strides: Tuple[int, ...] = (2, 4, 8, 16, 32, 64)
-    ops: Tuple[str, ...] = ()  # collective sweeps only
-    algorithms: Tuple[str, ...] = ("auto",)  # collective sweeps only
-    nodes: Tuple[int, ...] = (16,)  # collective sweeps only
+    nwords: int = bounded(32768, minimum=1)
+    strides: Tuple[int, ...] = _axis((2, 4, 8, 16, 32, 64))
+    # ops, algorithms and nodes are collective sweeps only.
+    ops: Tuple[str, ...] = _axis((), Shape(str, choices=COLLECTIVE_OPS))
+    algorithms: Tuple[str, ...] = _axis(
+        ("auto",), Shape(str, choices=_ALGORITHMS), nonempty=True
+    )
+    nodes: Tuple[int, ...] = _axis(
+        (16,), Shape(int, minimum=2), nonempty=True
+    )
+
+    def __post_init__(self) -> None:
+        check_fields(self, SweepError)
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`SweepError` on the first structural problem."""
-        check_fields(self, SweepError)
-        if self.kind not in _KINDS:
-            raise SweepError(
-                f"unknown sweep kind {self.kind!r}; choose from {_KINDS}"
-            )
-        if not self.machines:
-            raise SweepError("a sweep needs at least one machine")
-        for name in self.machines:
-            if name not in MACHINE_KEYS:
-                raise SweepError(
-                    f"unknown machine {name!r}; choose from "
-                    f"{sorted(MACHINE_KEYS)}"
-                )
-        if self.rates not in _RATES:
-            raise SweepError(f"unknown rate source {self.rates!r}")
-        if self.kind == "calibrate":
-            if self.nwords <= 0:
-                raise SweepError("calibrate sweeps need nwords > 0")
-            return
-        if self.kind == "collective":
-            self._validate_collective()
-            return
-        for style in self.styles:
-            try:
-                OperationStyle(style)
-            except ValueError:
-                raise SweepError(f"unknown operation style {style!r}")
-        if not (self.pairs or (self.x and self.y)):
-            raise SweepError("a transfer sweep needs pairs or x/y axes")
-        for size in self.sizes:
-            if size <= 0:
-                raise SweepError(f"transfer sizes must be > 0, got {size}")
-        if not self.sizes:
-            raise SweepError("a transfer sweep needs at least one size")
+        """Raise :class:`SweepError` unless the kind has its axes.
 
-    def _validate_collective(self) -> None:
-        from ..runtime.collectives import ALGORITHMS, COLLECTIVE_OPS
-
-        if not self.ops:
+        A collective sweep needs ops; a transfer sweep needs pattern
+        pairs or both ``x`` and ``y``.
+        """
+        if self.kind == "collective" and not self.ops:
             raise SweepError("a collective sweep needs at least one op")
-        for op in self.ops:
-            if op not in COLLECTIVE_OPS:
-                raise SweepError(
-                    f"unknown collective op {op!r}; choose from "
-                    f"{sorted(COLLECTIVE_OPS)}"
-                )
-        known = {"auto"}
-        for algorithms in ALGORITHMS.values():
-            known.update(algorithms)
-        for algorithm in self.algorithms:
-            if algorithm not in known:
-                raise SweepError(
-                    f"unknown collective algorithm {algorithm!r}; choose "
-                    f"from {sorted(known)}"
-                )
-        if not self.algorithms:
-            raise SweepError(
-                "a collective sweep needs at least one algorithm"
-            )
-        if not self.sizes:
-            raise SweepError("a collective sweep needs at least one size")
-        for size in self.sizes:
-            if size <= 0:
-                raise SweepError(
-                    f"collective sizes must be > 0, got {size}"
-                )
-        if not self.nodes:
-            raise SweepError(
-                "a collective sweep needs at least one node count"
-            )
-        for count in self.nodes:
-            if count < 2:
-                raise SweepError(
-                    f"collective node counts must be >= 2, got {count}"
-                )
+        if self.kind == "transfer" and not (self.pairs or (self.x and self.y)):
+            raise SweepError("a transfer sweep needs pairs or x/y axes")
 
     # -- expansion ----------------------------------------------------------
 
@@ -307,8 +277,6 @@ class SweepSpec(JsonInput):
         return tuple(cells)
 
     def _expand_collective(self) -> Tuple[SweepCell, ...]:
-        from ..runtime.collectives import ALGORITHMS
-
         seeds = self.seeds if self.seeds else (NOMINAL_SEED,)
         cells = []
         for machine in self.machines:
@@ -437,18 +405,11 @@ def collectives_spec(
     ground it stood on.  Paper rates keep the grid fast enough for the
     CI smoke job.
     """
-    from ..runtime.collectives import ALGORITHMS, COLLECTIVE_OPS
-
-    algorithms = ["auto"]
-    for per_op in ALGORITHMS.values():
-        for algorithm in per_op:
-            if algorithm not in algorithms:
-                algorithms.append(algorithm)
     return SweepSpec(
         kind="collective",
         machines=tuple(machines),
         ops=COLLECTIVE_OPS,
-        algorithms=tuple(algorithms),
+        algorithms=_ALGORITHMS,
         sizes=(1024, 1048576),
         nodes=tuple(nodes),
         seeds=tuple(seeds),

@@ -10,9 +10,27 @@ calibration-cache lookups — still land somewhere inspectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-__all__ = ["HistogramSummary", "MetricsRegistry"]
+__all__ = ["HistogramSummary", "MetricsRegistry", "nearest_rank"]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> Optional[float]:
+    """The ``q``-th percentile (0..100, nearest-rank) of sorted values.
+
+    A percentile is always an observed value (``p50`` of one sample is
+    that sample); ``None`` when ``ordered`` is empty.
+
+    Raises:
+        ValueError: ``q`` outside [0, 100], even with no values.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not ordered:
+        return None
+    return ordered[
+        max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
+    ]
 
 
 @dataclass(frozen=True)
@@ -65,14 +83,10 @@ class MetricsRegistry:
         )
 
     def percentile(self, name: str, q: float) -> float:
-        """The ``q``-th percentile (0..100, nearest-rank) of ``name``."""
-        values = sorted(self._histograms.get(name, []))
-        if not values:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        rank = max(0, min(len(values) - 1, round(q / 100.0 * (len(values) - 1))))
-        return values[rank]
+        """The ``q``-th percentile (:func:`nearest_rank`) of ``name``;
+        0.0 when nothing was observed."""
+        value = nearest_rank(sorted(self._histograms.get(name, [])), q)
+        return 0.0 if value is None else value
 
     # -- export -------------------------------------------------------------
 

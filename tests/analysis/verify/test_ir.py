@@ -1,4 +1,4 @@
-"""Lowering tests: expressions, plans and pipelines -> plan IR."""
+"""Lowering tests: expressions and plans -> plan IR."""
 
 import pytest
 
@@ -6,15 +6,12 @@ from repro.analysis import parse_expr
 from repro.analysis.verify import (
     IREdge,
     lower_expr,
-    lower_pipeline,
     lower_plan,
     phase_partition,
 )
 from repro.analysis.verify.examples import step_plan
 from repro.core.errors import ModelError
-from repro.core.patterns import AccessPattern
 from repro.machines import t3d
-from repro.runtime.engine import CommRuntime
 
 
 class TestLowerExpr:
@@ -124,36 +121,3 @@ class TestLowerPlan:
             step_plan("scatter-gather", 8)
         with pytest.raises(ModelError):
             step_plan("shift", 1)
-
-
-class TestLowerPipeline:
-    def test_stages_chain_linearly(self):
-        runtime = CommRuntime(t3d(), rates="paper")
-        phases = runtime.phases(
-            AccessPattern.parse("1"), AccessPattern.parse("64"),
-            131072, style="chained",
-        )
-        ir = lower_pipeline(phases, machine="Cray T3D")
-        assert [n.kind for n in ir.nodes] == ["stage"] * len(ir.nodes)
-        assert len(ir.edges) == len(ir.nodes) - 1
-        reach = ir.reachability()
-        first = ir.nodes[0].node_id
-        assert len(reach[first]) == len(ir.nodes) - 1
-        # A linear chain can never race.
-        assert ir.concurrent_claims() == []
-
-    def test_network_stage_is_shared_engines_exclusive(self):
-        runtime = CommRuntime(t3d(), rates="paper")
-        phases = runtime.phases(
-            AccessPattern.parse("1"), AccessPattern.parse("64"),
-            131072, style="chained",
-        )
-        ir = lower_pipeline(phases)
-        by_resource = {
-            (tuple(n.exclusive), tuple(n.shared)) for n in ir.nodes
-        }
-        assert ((), ("network",)) in by_resource
-        assert any(
-            exclusive and not shared
-            for exclusive, shared in by_resource
-        )

@@ -3,8 +3,8 @@
 The bit-identity *property* lives in
 ``tests/properties/test_batch_parity.py``; these tests pin the unit
 contracts — shape grouping, scalar-ordered fallback, duplicate
-memoization, advisor tie-breaking, and the vectorized pipeline
-recurrence against :class:`repro.runtime.stages.StagePipeline`.
+memoization, and the vectorized pipeline recurrence against
+:class:`repro.runtime.stages.StagePipeline`.
 """
 
 import numpy as np
@@ -12,8 +12,6 @@ import pytest
 
 from repro.core.batch import (
     BATCH_VERSION,
-    BatchChoice,
-    advise_many,
     estimate_many,
     evaluate_many,
     expr_shape,
@@ -111,37 +109,6 @@ class TestEstimateMany:
         values = estimate_many(model, [query] * 5)
         assert len(set(values)) == 1
         assert len(calls) == 1
-
-
-class TestAdviseMany:
-    def test_agrees_with_scalar_advisor(self, model):
-        pairs = [
-            (CONTIGUOUS, CONTIGUOUS),
-            (CONTIGUOUS, strided(64)),
-            (INDEXED, CONTIGUOUS),
-            (INDEXED, INDEXED),
-        ]
-        choices = advise_many(model, pairs)
-        for (x, y), choice in zip(pairs, choices):
-            scalar = model.choose(x, y)
-            assert isinstance(choice, BatchChoice)
-            assert choice.style is scalar.style
-            assert choice.mbps == scalar.estimate.mbps
-
-    def test_infeasible_pair_raises_model_error(self, model):
-        # The advisor contract: at least buffer-packing always builds,
-        # so force infeasibility by emptying the style space.
-        class NoStyles:
-            table = model.table
-            constraints = ()
-
-            def build(self, x, y, style):
-                from repro.core.errors import CompositionError
-
-                raise CompositionError("nothing builds")
-
-        with pytest.raises(ModelError, match="no feasible"):
-            advise_many(NoStyles(), [(CONTIGUOUS, CONTIGUOUS)])
 
 
 class TestSolvePipelineGroup:

@@ -9,6 +9,9 @@ The contracts under test (see :mod:`repro.core.shapes`):
 * **Validators answer** — each report validator returns a list for
   any JSON value, including real reports damaged at one spot.
 * **Round trip** — ``from_dict(to_dict(x)) == x`` for valid inputs.
+* **Finite bounds** — every number field of an input declares a field
+  bound, so an accepted input never holds NaN or +-inf (the fuzzer
+  draws both).
 """
 
 import contextlib
@@ -16,6 +19,8 @@ import copy
 import dataclasses
 import io
 import json
+import math
+import typing
 
 import hypothesis.strategies as st
 import pytest
@@ -54,7 +59,7 @@ JSON = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**40), max_value=2**40)
-    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -98,11 +103,35 @@ def _damaged(data, payload):
         return payload
 
 
+_BOUNDS = {"minimum", "maximum", "above", "below"}
+
+
+def _assert_finite_bounded(value):
+    """Every float field in input ``value`` is bounded and finite."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_finite_bounded(item)
+        return
+    if not dataclasses.is_dataclass(value):
+        return
+    hints = typing.get_type_hints(type(value))
+    for spec in dataclasses.fields(value):
+        item = getattr(value, spec.name)
+        if hints[spec.name] is float:
+            where = f"{type(value).__name__}.{spec.name}"
+            assert _BOUNDS & set(spec.metadata.get("shape", {})), where
+            assert math.isfinite(item), f"{where} = {item!r}"
+        elif "parse" not in spec.metadata:
+            _assert_finite_bounded(item)
+
+
 def _parses_or_refuses(parse, payload):
     try:
-        parse(payload)
+        parsed = parse(payload)
     except ModelError as exc:
         assert "\n" not in str(exc)
+    else:
+        _assert_finite_bounded(parsed)
 
 
 class TestParseOrRefuse:
@@ -264,10 +293,12 @@ SWEEP_SPECS = st.builds(
     pairs=st.lists(
         st.tuples(st.sampled_from(["1", "64", "w"]),
                   st.sampled_from(["1", "64", "w"])),
-        max_size=3,
+        max_size=3, unique=True,
     ).map(tuple),
-    sizes=st.lists(st.integers(1, 2**20), min_size=1, max_size=3).map(tuple),
-    seeds=st.lists(st.integers(-1, 100), max_size=3).map(tuple),
+    sizes=st.lists(
+        st.integers(1, 2**20), min_size=1, max_size=3, unique=True
+    ).map(tuple),
+    seeds=st.lists(st.integers(-1, 100), max_size=3, unique=True).map(tuple),
     rates=st.sampled_from(["simulated", "paper"]),
 )
 
@@ -298,5 +329,6 @@ COMM_PLANS = st.builds(
 @given(data=st.data())
 def test_round_trip(strategy, cls, data):
     value = data.draw(strategy)
+    _assert_finite_bounded(value)
     payload = json.loads(json.dumps(value.to_dict()))
     assert cls.from_dict(payload) == value

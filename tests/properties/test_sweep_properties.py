@@ -106,9 +106,9 @@ def collective_specs(draw):
             )
         )
     )
-    algorithms = ("auto",) + tuple(
-        algorithm for op in ops for algorithm in ALGORITHMS[op]
-    )
+    algorithms = tuple(dict.fromkeys(
+        ("auto", *(algorithm for op in ops for algorithm in ALGORITHMS[op]))
+    ))
     nodes = (draw(st.integers(min_value=2, max_value=12)),)
     sizes = (draw(st.sampled_from([1024, 65536])),)
     seeds = draw(st.sampled_from([(), (NOMINAL_SEED, 7), (11,)]))

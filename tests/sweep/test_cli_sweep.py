@@ -90,7 +90,7 @@ class TestSweepCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"machines": ["t3e"]}))
         assert main(["sweep", "--spec", str(path)]) == EXIT_FAILURE
-        assert "unknown machine" in capsys.readouterr().err
+        assert "machines[0]: expected one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "{not json",

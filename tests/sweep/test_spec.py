@@ -22,36 +22,36 @@ class TestValidation:
         SweepSpec().validate()
 
     def test_unknown_machine_rejected(self):
-        with pytest.raises(SweepError, match="unknown machine"):
-            SweepSpec(machines=("t3e",)).validate()
+        with pytest.raises(SweepError, match=r"machines\[0\]: expected one of"):
+            SweepSpec(machines=("t3e",))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SweepError, match="unknown sweep kind"):
-            SweepSpec(kind="transmogrify").validate()
+        with pytest.raises(SweepError, match="kind: expected one of"):
+            SweepSpec(kind="transmogrify")
 
     def test_unknown_style_rejected(self):
-        with pytest.raises(SweepError, match="operation style"):
-            SweepSpec(styles=("zero-copy",)).validate()
+        with pytest.raises(SweepError, match=r"styles\[0\]: expected one of"):
+            SweepSpec(styles=("zero-copy",))
 
     def test_unknown_rates_rejected(self):
-        with pytest.raises(SweepError, match="rate source"):
-            SweepSpec(rates="measured").validate()
+        with pytest.raises(SweepError, match="rates: expected one of"):
+            SweepSpec(rates="measured")
 
     def test_bad_duplex_rejected(self):
         with pytest.raises(SweepError, match="duplex"):
-            SweepSpec(duplex="half").validate()
+            SweepSpec(duplex="half")
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(SweepError, match="sizes must be"):
-            SweepSpec(sizes=(0,)).validate()
+        with pytest.raises(SweepError, match=r"sizes\[0\]: is below 1"):
+            SweepSpec(sizes=(0,))
 
     def test_empty_machines_rejected(self):
-        with pytest.raises(SweepError, match="at least one machine"):
-            SweepSpec(machines=()).validate()
+        with pytest.raises(SweepError, match="machines: is empty"):
+            SweepSpec(machines=())
 
     def test_calibrate_needs_positive_nwords(self):
         with pytest.raises(SweepError, match="nwords"):
-            SweepSpec(kind="calibrate", nwords=0).validate()
+            SweepSpec(kind="calibrate", nwords=0)
 
 
 class TestExpansion:
@@ -138,6 +138,12 @@ class TestSerialization:
         ({"sizes": [1.5]}, r"sizes\[0\]: expected integer"),
         ({"machines": "t3d"}, "machines: expected array"),
         ({"pairs": [["1", "64", "w"]]}, "exactly 2 items"),
+        ({"seeds": [3, 3], "sizes": [4096, 4096]},
+         r"sizes: has duplicate items \[4096\]; "
+         r"sweep spec.seeds: has duplicate items \[3\]"),
+        ({"kind": "collective", "ops": ["alltoall"], "nodes": [4, 8, 4]},
+         r"nodes: has duplicate items \[4\]"),
+        ({"seeds": [-2]}, r"seeds\[0\]: is below -1"),
     ])
     def test_malformed_payload_rejected(self, payload, match):
         with pytest.raises(SweepError, match=match):
@@ -146,7 +152,7 @@ class TestSerialization:
     def test_from_dict_validates(self):
         payload = SweepSpec().to_dict()
         payload["machines"] = ["t3e"]
-        with pytest.raises(SweepError, match="unknown machine"):
+        with pytest.raises(SweepError, match=r"machines\[0\]: expected one of"):
             SweepSpec.from_dict(payload)
 
     def test_json_round_trip_preserves_expansion(self):

@@ -49,6 +49,14 @@ class TestBadFlags:
         ("trace --step shift --nodes 1", 1),
         ("faults --step shift --nodes 1", 1),
         ("load --duration nan", 1),
+        # Non-finite numbers fail every field bound and multiplier check.
+        ("load --rate-x nan", 1),
+        ("load --rate-x inf", 1),
+        ("load --latency-curve 1,nan", 1),
+        ("load --profile closed --rate-x nan", 1),
+        ("load --profile closed --latency-curve 1,inf", 1),
+        ("load --deadline-us nan", 1),
+        ("load --admission token-bucket --token-rate nan", 1),
     ])
     def test_fails_without_traceback(self, command, code, capsys):
         assert _exit_code(command.split()) == code
@@ -57,6 +65,26 @@ class TestBadFlags:
         assert err.strip().splitlines()[-1].startswith(
             "error: " if code == 1 else "python -m repro"
         )
+
+    @pytest.mark.parametrize("command, payload, field", [
+        ("faults --step all-to-all --nodes 4 --plan",
+         {"nodes": [{"node": 1, "slowdown": float("nan")}]},
+         "fault plan.nodes[0].slowdown: is not finite"),
+        ("sweep --spec", {"seeds": [3, 3], "sizes": [4096, 4096]},
+         "sweep spec.sizes: has duplicate items [4096]"),
+        ("sweep --spec", {"seeds": [3, 3], "sizes": [4096, 4096]},
+         "sweep spec.seeds: has duplicate items [3]"),
+    ])
+    def test_bad_input_file_names_its_field(
+        self, command, payload, field, tmp_path, capsys
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert _exit_code(command.split() + [str(path)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert field in lines[0]
 
     def test_every_step_command_takes_the_same_names(self):
         parser = build_parser()
