@@ -1148,8 +1148,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a parameter grid on worker processes",
         description=(
             "Run a declarative parameter sweep through the sharded "
-            "engine (repro.sweep): plan the grid into shards, execute "
-            "them as vectorized batches on --workers processes, and "
+            "engine (repro.sweep): plan the grid into shards, run "
+            "each shard's cells in order on --workers processes, and "
             "merge deterministically. The emitted canonical JSON (and "
             "its digest) is bit-identical for any --workers / "
             "--shard-size / --shuffle-seed combination."

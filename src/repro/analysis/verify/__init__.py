@@ -26,7 +26,7 @@ from .api import (
     verify_plan,
     verify_step,
 )
-from .bounds import Interval, PhaseBound, phase_bounds, pipeline_bounds, rate_interval
+from .bounds import Interval, PhaseBound, phase_bounds, rate_interval
 from .coverage import (
     FAULT_COVERAGE,
     CoverageContext,
@@ -70,7 +70,6 @@ __all__ = [
     "lower_plan",
     "phase_bounds",
     "phase_partition",
-    "pipeline_bounds",
     "rate_interval",
     "results_payload",
     "run_verify",

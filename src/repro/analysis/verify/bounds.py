@@ -23,35 +23,23 @@ composition rules.
 Time bounds invert throughput: at 1 MB/s a byte takes a nanosecond, so
 ``ns = nbytes / mbps * 1000``.  Note the inversion swaps the ends —
 the *fastest* rate gives the *lower* time bound.
-
-:func:`pipeline_bounds` brackets the chunked
-:class:`~repro.runtime.stages.StagePipeline` the same way: each
-stage's total busy time is exact arithmetic (stream time + per-chunk
-overheads + startup); wall-clock time is at least the busiest
-exclusive resource (stages sharing a resource serialize) and at most
-the sum of all busy times (the fully serialized schedule).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...core.calibration import ThroughputTable
 from ...core.composition import Expr, Par, Seq, Term
 from ...core.constraints import ResourceConstraint
 from ...core.errors import CalibrationError, ModelError
 
-if TYPE_CHECKING:
-    from ...runtime.engine import _Phase
-
 __all__ = [
     "Interval",
     "PhaseBound",
     "rate_interval",
     "phase_bounds",
-    "pipeline_bounds",
 ]
 
 
@@ -174,37 +162,3 @@ def phase_bounds(
         )
     )
     return rows
-
-
-def pipeline_bounds(
-    phases: Iterable["_Phase"],
-    nbytes: int,
-) -> Interval:
-    """Static wall-clock bounds (ns) for the runtime's staged phases.
-
-    For each phase, every stage's *busy* time is exact:
-    ``nbytes / rate * 1000 + nchunks * chunk_overhead + startup``.
-    The phase cannot finish before its busiest exclusive resource has
-    done all its work (lower bound: max over resource groups of summed
-    busy time) and cannot take longer than running every stage back to
-    back (upper bound: sum of busy times).  Phases run sequentially,
-    so the totals add.
-    """
-    lo = 0.0
-    hi = 0.0
-    for phase in phases:
-        nchunks = max(1, math.ceil(nbytes / phase.chunk_bytes))
-        by_resource: Dict[str, float] = {}
-        for stage in phase.stages:
-            busy = (
-                _ns(nbytes, stage.rate_mbps)
-                + nchunks * stage.chunk_overhead_ns
-                + stage.startup_ns
-            )
-            by_resource[stage.resource] = (
-                by_resource.get(stage.resource, 0.0) + busy
-            )
-            hi += busy
-        if by_resource:
-            lo += max(by_resource.values())
-    return Interval(lo=lo, hi=hi)

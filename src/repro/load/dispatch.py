@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 from ..core.errors import ModelError
-from .workload import uniform
+from ..core.draws import uniform
 
 __all__ = ["DispatchPolicy", "policy_by_name", "POLICIES"]
 

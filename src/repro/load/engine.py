@@ -52,8 +52,6 @@ from .workload import ClosedLoopSpec, LoadProfile, RequestTemplate, uniform
 
 __all__ = ["LoadEngine", "LoadResult", "valid_horizon"]
 
-_MACHINES = MACHINE_FACTORIES
-
 #: Event kinds, in same-timestamp processing order: completions free
 #: servers before new arrivals claim them; transit landings last.
 _DONE, _ARRIVE, _ENQUEUE = 0, 1, 2
@@ -179,13 +177,7 @@ class LoadEngine:
     ) -> None:
         if seed < 0:
             raise ModelError("load seed must be non-negative")
-        try:
-            machine = _MACHINES[profile.machine]()
-        except KeyError:
-            raise ModelError(
-                f"unknown machine {profile.machine!r}; "
-                f"choose from {sorted(_MACHINES)}"
-            )
+        machine = MACHINE_FACTORIES[profile.machine]()
         self.profile = profile
         self.seed = seed
         self.faults = (

@@ -27,7 +27,10 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.draws import uniform
 from ..core.errors import LoadError, ModelError
+from ..core.operations import OperationStyle
 from ..core.shapes import JsonInput, as_payload, bounded, check_fields
+from ..machines.registry import MACHINE_FACTORIES
+from .dispatch import POLICIES
 from .overload import OverloadSpec
 
 __all__ = [
@@ -85,7 +88,9 @@ class RequestTemplate(JsonInput):
     x: str = "1"
     y: str = "1"
     nbytes: int = bounded(8192, minimum=1)
-    style: str = "chained"
+    style: str = bounded(
+        "chained", choices=tuple(style.value for style in OperationStyle)
+    )
     priority: int = 0
     deadline_ns: float = bounded(0.0, minimum=0.0)
 
@@ -202,7 +207,8 @@ class LoadProfile(JsonInput):
 
     Attributes:
         name: Profile label.
-        machine: Machine to drive (``"t3d"`` / ``"paragon"``).
+        machine: Machine registry key to drive (``"t3d"``, ``"paragon"``,
+            ...; see :mod:`repro.machines.registry`).
         nodes: Partition size requests are dispatched over.
         open_loops / closed_loops: The generators.
         dispatch: Dispatch policy name (see :mod:`repro.load.dispatch`).
@@ -218,11 +224,11 @@ class LoadProfile(JsonInput):
     parse_error = LoadError
 
     name: str
-    machine: str = "t3d"
+    machine: str = bounded("t3d", choices=tuple(MACHINE_FACTORIES))
     nodes: int = bounded(8, minimum=2)
     open_loops: Tuple[OpenLoopSpec, ...] = ()
     closed_loops: Tuple[ClosedLoopSpec, ...] = ()
-    dispatch: str = "round-robin"
+    dispatch: str = bounded("round-robin", choices=tuple(POLICIES))
     discipline: str = bounded("fifo", choices=("fifo", "priority"))
     congestion: float = bounded(1.0, minimum=1.0)
     overload: Optional[OverloadSpec] = None

@@ -8,9 +8,12 @@ a ready-to-use :class:`~repro.core.calibration.ThroughputTable`.
 
 The measurement grid is exposed as data: :func:`calibration_entries`
 enumerates the ``(letter, read, write)`` entries a machine supports and
-:func:`measure_entry` evaluates one of them, so the sweep engine
-(:mod:`repro.sweep`) can shard a calibration across worker processes
-(``python -m repro sweep --grid calibration``).
+:func:`measure_entry` evaluates one of them.  A calibration sweep
+(``python -m repro sweep --grid calibration``) runs one
+:func:`measure_entry` per cell through
+:func:`repro.sweep.worker.run_cell`; the cells a process runs share
+one memoized node harness, and with it the harness's engine-keyed
+kernel memo, so the grid can be sharded across worker processes.
 
 Tables are cached through :mod:`repro.caching` — an in-process LRU
 plus an on-disk layer — keyed by a content hash of everything the
@@ -46,7 +49,6 @@ __all__ = [
     "measurement_cache_key",
     "calibration_entries",
     "measure_entry",
-    "measure_entries",
     "CalEntry",
     "DEFAULT_STRIDES",
     "MEASURE_VERSION",
@@ -156,26 +158,6 @@ def measure_entry(
     raise CalibrationError(f"unknown calibration entry kind {letter!r}")
 
 
-def measure_entries(
-    machine: Machine,
-    node: NodeMemorySystem,
-    entries: Tuple[CalEntry, ...],
-    congestion: Optional[int] = None,
-) -> list:
-    """Measure a batch of calibration entries against one node harness.
-
-    This is the batched-query form of :func:`measure_entry`: all
-    entries share the harness (and therefore its engine-keyed kernel
-    memo — see :class:`~repro.memsim.node.NodeMemorySystem`), so
-    duplicate entries simulate once.  Values are bit-identical to
-    calling :func:`measure_entry` per entry.
-    """
-    return [
-        measure_entry(machine, node, entry, congestion=congestion)
-        for entry in entries
-    ]
-
-
 def _table_key(key: Union[str, int]) -> Union[str, int]:
     """Normalize a (possibly stringified) entry key for table storage."""
     if isinstance(key, str) and key not in ("0", "1", "w"):
@@ -205,8 +187,8 @@ def measurement_cache_key(
     :data:`MEASURE_VERSION` (bumped whenever the measurement procedure
     itself changes meaning).
 
-    :data:`~repro.core.batch.BATCH_VERSION` participates as well, so
-    a change to the batching semantics orphans every stored table.
+    :data:`~repro.core.batch.BATCH_VERSION` participates as well, at a
+    fixed value, so existing disk entries keep their keys.
     """
     from ..caching import content_key
 

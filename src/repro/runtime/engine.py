@@ -358,40 +358,6 @@ class CommRuntime:
         )
         return [_Phase("chained", tuple(stages), chunk)]
 
-    def phases(
-        self,
-        x: AccessPattern,
-        y: AccessPattern,
-        nbytes: int,
-        style: OperationStyle = OperationStyle.CHAINED,
-        congestion: Optional[float] = None,
-        deposit_ok: bool = True,
-    ) -> List[_Phase]:
-        """The stage pipeline a transfer would execute, without running it.
-
-        The sweep's batch executor (:mod:`repro.sweep.batch`) solves
-        these phases for many cells at once: the same ``_Phase`` list
-        :meth:`transfer` builds, with no measurement, fault charging or
-        degradation applied.  Raises
-        :class:`CompositionError` exactly when :meth:`transfer` would.
-        """
-        if nbytes <= 0:
-            raise ValueError(f"need a positive transfer size, got {nbytes}")
-        if congestion is None:
-            congestion = self.default_congestion
-        style = (
-            style
-            if isinstance(style, OperationStyle)
-            else OperationStyle(style)
-        )
-        if style is OperationStyle.BUFFER_PACKING:
-            return self._packing_phases(
-                x, y, nbytes, congestion, deposit_ok=deposit_ok
-            )
-        return self._chained_phases(
-            x, y, nbytes, congestion, deposit_ok=deposit_ok
-        )
-
     # -- execution ----------------------------------------------------------------
 
     def transfer(

@@ -1,21 +1,21 @@
-"""Sweep execution: the serial reference and the batched executor.
+"""Sweep execution: the serial reference and the sweep runner.
 
-Both produce bit-identical :class:`~repro.sweep.merge.SweepResult`
-payloads for the same spec:
+Both execute every cell through :func:`repro.sweep.worker.run_cell`
+in canonical order and produce bit-identical
+:class:`~repro.sweep.merge.SweepResult` payloads for the same spec:
 
 * :func:`run_serial` — the *reference implementation*: a plain loop
-  over the grid in canonical order, one fresh runtime per cell,
-  exactly what the pre-sweep consumers did.  Slowest, simplest,
-  obviously correct; the determinism tests compare everything else
-  against it.
-* :func:`run_sweep` — every cell goes through
-  :func:`repro.sweep.batch.run_cells_batched`, which vectorizes what
-  it can and runs the rest through the scalar oracle.  With
-  ``workers <= 1`` the whole grid is one in-process batch.  With
-  ``workers > 1`` a :class:`~concurrent.futures.ProcessPoolExecutor`
-  runs the planned shards, each worker batching its own shard and all
-  workers sharing the on-disk calibration cache; results are merged
-  by canonical cell index, never by completion order.
+  over the grid with a fresh memo universe per cell, exactly what the
+  pre-sweep consumers did.  Slowest, simplest, obviously correct; the
+  determinism tests compare everything else against it.
+* :func:`run_sweep` — the same loop with the worker memos (machines,
+  calibration tables, runtimes, node harnesses) shared across cells,
+  so a grid derives each simulated table once.  With ``workers <= 1``
+  the whole grid runs in-process.  With ``workers > 1`` a
+  :class:`~concurrent.futures.ProcessPoolExecutor` runs the planned
+  shards, each worker looping over its own shard and all workers
+  sharing the on-disk calibration cache; results are merged by
+  canonical cell index, never by completion order.
 
 Shard lifecycle is observable through the trace layer: with a tracer
 installed (:func:`repro.trace.tracing`) the runner emits
@@ -35,11 +35,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..trace.tracer import current_tracer
 from . import worker as worker_module
-from .batch import run_cells_batched
 from .merge import SweepResult, merge_rows
 from .plan import Shard, plan_shards
 from .spec import SweepError, SweepSpec
-from .worker import init_worker, pinned_environment, run_shard
+from .worker import init_worker, pinned_environment, run_cells, run_shard
 
 __all__ = ["run_serial", "run_sweep"]
 
@@ -62,31 +61,27 @@ def _shard_payload(shard: Shard):
     )
 
 
-def run_serial(spec: SweepSpec, batched: bool = False) -> SweepResult:
+def run_serial(spec: SweepSpec) -> SweepResult:
     """Execute the grid with a plain in-order loop (no shards, no pool).
 
-    With ``batched=False`` every cell rebuilds its state from scratch
-    (a fresh memo universe per cell) — the honest pre-sweep baseline
-    the speed benchmark compares against, and the reference the
-    determinism properties hold every other strategy to.  With
-    ``batched=True`` the worker memos persist across cells, which must
-    not change a single bit of the result.
+    Every cell rebuilds its state from scratch (a fresh memo universe
+    per cell) — the honest pre-sweep baseline the speed benchmark
+    compares against, and the reference the determinism properties
+    hold :func:`run_sweep` to.
     """
     cells = spec.expand()
     started = time.perf_counter()
     rows: List[Dict[str, Any]] = []
     for cell in cells:
-        if not batched:
-            worker_module.reset_memos()
-        rows.append(worker_module.run_cell(cell))
-    if not batched:
         worker_module.reset_memos()
+        rows.append(worker_module.run_cell(cell))
+    worker_module.reset_memos()
     elapsed = time.perf_counter() - started
     return SweepResult(
         spec=spec,
         rows=tuple(rows),
         stats={
-            "strategy": "serial" if not batched else "serial-batched",
+            "strategy": "serial",
             "workers": 1,
             "shards": 0,
             "cells": len(cells),
@@ -165,7 +160,7 @@ def run_sweep(
     Args:
         spec: The grid to sweep.
         workers: Process count; ``None``, 0 or 1 run the whole grid
-            in-process as one batch (no pool).
+            in-process as one shard (no pool).
         shard_size: Cells per pool shard (default: a few shards per
             worker).  Validated at any worker count.
         shuffle_seed: Deterministically permute shard submission order
@@ -190,8 +185,8 @@ def run_sweep(
         shuffle_seed=shuffle_seed,
     )
     if n_workers == 1:
-        # In-process the whole grid is one batch (maximal group
-        # sizes); the plan above only validated the shard knobs.
+        # In-process the whole grid is one shard sharing one set of
+        # memos; the plan above only validated the shard knobs.
         shards = (Shard(0, tuple(enumerate(cells))),)
     tracer = current_tracer()
     if tracer is not None:
@@ -200,14 +195,8 @@ def run_sweep(
         tracer.count("sweep.workers", n_workers)
 
     started = time.perf_counter()
-    batch_stats: Dict[str, Any] = {}
     if n_workers == 1:
-        report = run_cells_batched(cells)
-        indexed_rows = list(enumerate(report.rows))
-        batch_stats = {
-            "batch_groups": report.groups,
-            "batch_fallbacks": report.fallbacks,
-        }
+        indexed_rows = list(enumerate(run_cells(cells)))
         if tracer is not None:
             _trace_shard(
                 tracer, shards[0], started, started, time.perf_counter()
@@ -238,7 +227,6 @@ def run_sweep(
         "cells": len(cells),
         "elapsed_s": elapsed,
     }
-    stats.update(batch_stats)
     if n_verified is not None:
         stats["preflight_verified"] = n_verified
     return SweepResult(spec=spec, rows=rows, stats=stats)

@@ -1,18 +1,19 @@
-"""Per-process sweep execution: batched, memoized, deterministic.
+"""Per-process sweep execution: one cell loop, memoized, deterministic.
 
-Each worker process executes whole shards.  The win over the naive
-per-cell loop is **batching**: cells of one shard (and of later shards
-the same process picks up) share a worker-local memo of machines,
-calibration tables, runtimes and node harnesses, so the expensive
-shared work — deriving a machine's simulated calibration table — is
-paid once per process instead of once per cell.  On top of that the
-workers share the on-disk calibration cache (:mod:`repro.caching`),
-so across processes each distinct table is simulated at most once per
-cache-cold run.
+Every sweep cell runs through :func:`run_cell`.  The in-process sweep
+and each pool worker loop over their cells in canonical order
+(:func:`run_cells`).  The win over the naive per-cell loop is **memo
+sharing**: cells of one shard (and of later shards the same process
+picks up) share a worker-local memo of machines, calibration tables,
+runtimes and node harnesses, so the expensive shared work — deriving
+a machine's simulated calibration table — is paid once per process
+instead of once per cell.  On top of that the workers share the
+on-disk calibration cache (:mod:`repro.caching`), so across processes
+each distinct table is simulated at most once per cache-cold run.
 
 Nothing here may affect *values*: every memoized object is a pure
-function of its key, so batched, unbatched, in-process and pooled
-execution produce bit-identical rows (asserted by
+function of its key, so fresh-memo, shared-memo, in-process and
+pooled execution produce bit-identical rows (asserted by
 ``tests/properties/test_sweep_properties.py``).
 
 The module is import-safe for both ``fork`` and ``spawn`` start
@@ -24,7 +25,7 @@ the relevant environment so a spawned worker matches its parent.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..caching import CACHE_DIR_ENV, CACHE_ENV
 from ..core.operations import OperationStyle
@@ -37,6 +38,8 @@ __all__ = [
     "machine_by_key",
     "pinned_environment",
     "reset_memos",
+    "run_cell",
+    "run_cells",
     "run_shard",
 ]
 
@@ -76,7 +79,7 @@ def reset_memos() -> None:
     a forked worker must not inherit tables its parent already built).
 
     This includes the process-wide pipeline and scheduled-congestion
-    memos the runtime keeps, so an unbatched serial run really starts
+    memos the runtime keeps, so a fresh-memo serial run really starts
     every cell from nothing."""
     from ..netsim.schedule import _SCHEDULED_CACHE
     from ..runtime.stages import _untraced_run
@@ -277,14 +280,30 @@ def _run_calibrate_cell(cell: SweepCell) -> Dict[str, Any]:
     return {"id": cell.cell_id, "mbps": rate}
 
 
+def run_cells(cells: Sequence[SweepCell]) -> List[Dict[str, Any]]:
+    """Execute cells in order through :func:`run_cell`, sharing memos.
+
+    A failing cell aborts the loop with one :class:`SweepError` line
+    naming it.
+    """
+    rows: List[Dict[str, Any]] = []
+    for cell in cells:
+        try:
+            rows.append(run_cell(cell))
+        except SweepError:
+            raise
+        except Exception as exc:
+            raise SweepError(f"cell {cell.cell_id!r} failed: {exc}") from exc
+    return rows
+
+
 def run_shard(
     payload: Tuple[Any, ...],
 ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]]]:
     """Execute one shard: ``(shard_index, ((cell_index, cell_dict), ...))``.
 
-    The shard's cells go through the batch executor
-    (:func:`repro.sweep.batch.run_cells_batched`), which falls back to
-    :func:`run_cell` per cell wherever it cannot vectorize.
+    The shard's cells run through :func:`run_cells` in the order
+    given, sharing this process's memos with every earlier shard.
 
     Returns ``(shard_index, [(cell_index, row), ...])``.  Cell dicts
     (not :class:`SweepCell` objects) cross the process boundary so a
@@ -292,17 +311,15 @@ def run_shard(
     A failing cell aborts the whole shard with a :class:`SweepError`
     naming it — a silently absent cell must never reach the merge.
     """
-    from .batch import run_cells_batched
-
     shard_index, indexed_cells = payload
     if _INIT_ERROR is not None:
         raise SweepError(
             f"sweep worker initialization failed: {_INIT_ERROR}"
         )
-    report = run_cells_batched(
+    rows = run_cells(
         [SweepCell.from_dict(cell_dict) for __, cell_dict in indexed_cells]
     )
     return shard_index, [
         (cell_index, row)
-        for (cell_index, __), row in zip(indexed_cells, report.rows)
+        for (cell_index, __), row in zip(indexed_cells, rows)
     ]

@@ -1,23 +1,17 @@
 """CT214 interval abstract interpretation tests.
 
 The soundness contract under test: the static bracket must contain the
-concrete figure — `evaluate()` for expressions, the runtime's measured
-wall clock for stage pipelines — for every shape the repo models.
+concrete figure `evaluate()` computes, for every shape the repo models.
 """
 
 import pytest
 
-from repro.analysis.verify.bounds import (
-    Interval,
-    phase_bounds,
-    pipeline_bounds,
-)
+from repro.analysis.verify.bounds import Interval, phase_bounds
 from repro.core.errors import CompositionError, ModelError
 from repro.core.operations import OperationStyle
 from repro.core.patterns import AccessPattern
 from repro.core.throughput import evaluate
 from repro.machines import paragon, t3d
-from repro.runtime.engine import CommRuntime
 from repro.sweep import GRID_PAIRS
 
 MACHINES = {"t3d": t3d, "paragon": paragon}
@@ -81,25 +75,3 @@ class TestExpressionBounds:
         for row in rows:
             assert row.mbps_lo <= row.mbps_hi
 
-
-class TestPipelineBounds:
-    @pytest.mark.parametrize("machine_key", sorted(MACHINES))
-    @pytest.mark.parametrize("style", STYLES)
-    @pytest.mark.parametrize("nbytes", [4096, 131072])
-    @pytest.mark.parametrize("x,y", [("1", "64"), ("64", "1"), ("1", "1")])
-    def test_bracket_contains_the_measured_transfer(
-        self, machine_key, style, nbytes, x, y
-    ):
-        runtime = CommRuntime(MACHINES[machine_key](), rates="paper")
-        pattern_x = AccessPattern.parse(x)
-        pattern_y = AccessPattern.parse(y)
-        phases = runtime.phases(pattern_x, pattern_y, nbytes, style=style)
-        bracket = pipeline_bounds(phases, nbytes)
-        measured = runtime.transfer(
-            pattern_x, pattern_y, nbytes, style=style
-        ).ns
-        assert bracket.lo <= measured <= bracket.hi
-
-    def test_empty_pipeline_bounds_are_zero(self):
-        bracket = pipeline_bounds([], 4096)
-        assert bracket.lo == 0.0 and bracket.hi == 0.0

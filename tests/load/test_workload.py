@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.errors import ModelError
+from repro.core.errors import LoadError, ModelError
 from repro.load import (
     PROFILES,
     ClosedLoopSpec,
@@ -111,6 +111,24 @@ class TestRoundTrip:
     ])
     def test_omitted_templates_take_the_default(self, cls, payload):
         assert cls.from_dict(payload).templates == (RequestTemplate("default"),)
+
+    @pytest.mark.parametrize("path, value", [
+        (("machine",), "cm5"),
+        (("dispatch",), "nope"),
+        (("open_loops", 0, "templates", 0, "style"), "zero-copy"),
+    ])
+    def test_unknown_choice_names_the_field(self, path, value):
+        payload = profile_by_name("steady").to_dict()
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(LoadError) as excinfo:
+            LoadProfile.from_dict(payload)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"{path[-1]}: expected one of" in message
+        assert repr(value) in message
 
     def test_unknown_profile_is_model_error(self):
         with pytest.raises(ModelError):

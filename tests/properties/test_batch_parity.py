@@ -1,14 +1,14 @@
-"""Bit-identity of the batched sweep engine against the scalar oracle.
+"""Bit-identity of the shared-memo sweep against the fresh-memo reference.
 
-The batch engine (:mod:`repro.sweep.batch`) executes every
-:func:`~repro.sweep.run_sweep` cell, and it is a pure performance
-strategy: grouping, broadcasting and vectorized folds may never change
-a single bit of the canonical payload.  These properties drive random
-:class:`~repro.sweep.SweepSpec` grids through ``run_sweep`` and
-compare canonical JSON (hence SHA-256 digests) against the serial
-reference loop — including fault-seeded cells, collective cells and
-other shapes the batch path cannot express, which must *fall back* to
-the scalar oracle per cell rather than drift.
+:func:`~repro.sweep.run_sweep` runs every cell through
+:func:`~repro.sweep.worker.run_cell` with the worker memos shared
+across cells (in-process, or per pool worker); :func:`run_serial`
+starts every cell from empty memos.  Memo sharing is a pure
+performance strategy: it may never change a single bit of the
+canonical payload.  These properties drive random
+:class:`~repro.sweep.SweepSpec` grids through both and compare
+canonical JSON (hence SHA-256 digests) — including fault-seeded cells
+and collective cells.
 
 Transfer grids use ``rates="paper"`` so Hypothesis can afford several
 examples; the simulated-rates surface is covered by the slow-marked
@@ -29,7 +29,6 @@ from repro.sweep import (
     run_serial,
     run_sweep,
 )
-from repro.sweep.batch import run_cells_batched
 
 PAIR_POOL = (
     ("1", "1"),
@@ -51,8 +50,8 @@ SLOW_SETTINGS = settings(
 def transfer_specs(draw):
     """Small random transfer grids over the paper-rate calibration.
 
-    The ``seeds`` axis deliberately includes fault seeds: seeded cells
-    are outside the batch envelope and must take the per-cell fallback.
+    The ``seeds`` axis deliberately includes fault seeds, so seeded
+    cells run under their fault plans on both sides of the comparison.
     """
     machines = draw(
         st.sampled_from([("t3d",), ("paragon",), ("t3d", "paragon")])
@@ -98,10 +97,10 @@ class TestBatchBitIdentity:
     @SLOW_SETTINGS
     @given(spec=transfer_specs())
     def test_batch_engine_matches_serial_reference(self, spec):
-        reference = run_serial(spec, batched=True)
-        batched = run_sweep(spec, workers=1)
-        assert batched.canonical_json() == reference.canonical_json()
-        assert batched.digest() == reference.digest()
+        reference = run_serial(spec)
+        swept = run_sweep(spec, workers=1)
+        assert swept.canonical_json() == reference.canonical_json()
+        assert swept.digest() == reference.digest()
 
     @SLOW_SETTINGS
     @given(
@@ -112,102 +111,35 @@ class TestBatchBitIdentity:
     def test_pooled_batch_matches_serial_reference(
         self, spec, workers, shard_size
     ):
-        reference = run_serial(spec, batched=True)
+        reference = run_serial(spec)
         pooled = run_sweep(spec, workers=workers, shard_size=shard_size)
         assert pooled.canonical_json() == reference.canonical_json()
 
     @SLOW_SETTINGS
     @given(spec=transfer_specs())
-    def test_fault_seeded_cells_fall_back_not_drift(self, spec):
-        """Every seeded cell must be counted as a fallback — the batch
-        path never attempts fault-plan execution — and the merged
-        payload must still match the reference bit for bit."""
+    def test_fault_seeded_cells_match_serial(self, spec):
         seeded = dataclasses.replace(spec, seeds=(NOMINAL_SEED, 3, 11))
-        reference = run_serial(seeded, batched=True)
-        batched = run_sweep(seeded, workers=1)
-        assert batched.canonical_json() == reference.canonical_json()
-        n_seeded = sum(
-            1 for cell in batched.cells if cell.seed != NOMINAL_SEED
-        )
-        assert n_seeded > 0
-        assert batched.stats["batch_fallbacks"] >= n_seeded
+        reference = run_serial(seeded)
+        swept = run_sweep(seeded, workers=1)
+        assert swept.canonical_json() == reference.canonical_json()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_collective_grid_falls_back_not_drift(self, workers):
-        """Collective cells reach ``run_cell`` only through the batch
-        fallback, in-process and inside each pool worker alike."""
+    def test_collective_grid_matches_serial(self, workers):
         spec = dataclasses.replace(
             collectives_spec(
                 machines=("cluster",), nodes=(8,), seeds=(NOMINAL_SEED, 7)
             ),
             sizes=(1024,),
         )
-        reference = run_serial(spec, batched=True)
+        reference = run_serial(spec)
         swept = run_sweep(spec, workers=workers, shard_size=5)
         assert swept.canonical_json() == reference.canonical_json()
-        if workers == 1:
-            assert swept.stats["batch_fallbacks"] == len(swept.cells)
-
-
-class TestFallbackEnvelope:
-    def test_ambient_fault_plan_sends_everything_to_fallback(self):
-        """An ambient fault plan (installed via ``injecting``) is
-        outside the batch envelope wholesale: every cell falls back and
-        the rows still match the scalar loop's exactly."""
-        from repro.faults import FaultPlan, injecting
-
-        spec = SweepSpec(
-            machines=("t3d",),
-            pairs=(("1", "64"),),
-            styles=("chained",),
-            sizes=(8192,),
-            rates="paper",
-            duplex="off",
-        )
-        cells = spec.expand()
-        with injecting(FaultPlan.chaos(7)):
-            reference = run_serial(spec, batched=True)
-            report = run_cells_batched(cells)
-        assert report.fallbacks == len(cells)
-        assert tuple(report.rows) == reference.rows
-
-    def test_failing_cell_raises_the_scalar_error(self):
-        """A cell the scalar loop would refuse must abort the batch
-        run with the same canonical SweepError, not a numpy artifact."""
-        from repro.sweep import SweepError
-        from repro.sweep.spec import SweepCell
-
-        bad = SweepSpec(machines=("t3d",)).expand()[0].to_dict()
-        bad["x"] = "not-a-pattern"
-        cell = SweepCell.from_dict(bad)
-        with pytest.raises(SweepError, match="failed"):
-            run_cells_batched([cell])
-
-    def test_batch_trace_counters_account_for_every_cell(self):
-        from repro.trace import tracing
-
-        spec = SweepSpec(
-            machines=("t3d", "paragon"),
-            pairs=(("1", "1"), ("w", "1")),
-            sizes=(8192,),
-            seeds=(NOMINAL_SEED, 5),
-            rates="paper",
-        )
-        cells = spec.expand()
-        with tracing() as tracer:
-            report = run_cells_batched(cells)
-        counters = tracer.metrics.counters()
-        assert counters["batch.cells"] == len(cells)
-        assert counters["batch.fallbacks"] == report.fallbacks
-        assert counters["batch.groups"] == report.groups
-        # Seeded cells fall back; nominal cells ride the vector path.
-        assert 0 < report.fallbacks < len(cells)
 
 
 @pytest.mark.slow
 class TestSimulatedRatesParity:
-    """The simulated-rates surfaces — where the memsim engine choice
-    could in principle leak into grouping — stay bit-identical."""
+    """The simulated-rates surfaces — where a calibration table built
+    once and shared across cells is in play — stay bit-identical."""
 
     def test_calibration_grid_batch_vs_serial(self, monkeypatch):
         from repro.caching import CACHE_ENV
@@ -215,7 +147,7 @@ class TestSimulatedRatesParity:
 
         monkeypatch.setenv(CACHE_ENV, "off")
         spec = dataclasses.replace(calibration_spec("t3d"), nwords=4096)
-        reference = run_serial(spec, batched=True)
+        reference = run_serial(spec)
         batched = run_sweep(spec, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
 
@@ -225,5 +157,5 @@ class TestSimulatedRatesParity:
         spec = figure7_spec()
         assert (
             run_sweep(spec, workers=1).digest()
-            == run_serial(spec, batched=True).digest()
+            == run_serial(spec).digest()
         )

@@ -8,9 +8,7 @@ file, not hand-porting assertions:
 * model estimates are positive and finite for every feasible style;
 * transfer time is monotone in payload size;
 * the verifier's static interval (CT214's bracket) contains the
-  model's own estimate;
-* the sweep engines (scalar per-cell loop vs vectorized batch) produce
-  bit-identical rows.
+  model's own estimate.
 """
 
 import hypothesis.strategies as st
@@ -23,7 +21,6 @@ from repro.core.operations import OperationStyle
 from repro.core.patterns import AccessPattern
 from repro.machines.registry import MACHINE_FACTORIES, machine_names
 from repro.runtime.engine import CommRuntime
-from repro.sweep.spec import SweepSpec
 
 ALL_MACHINES = machine_names()
 
@@ -104,20 +101,3 @@ class TestEveryRegisteredMachine:
         interval = rate_interval(expr, model.table, model.constraints)
         assume(interval is not None)
         assert interval.contains(estimate.mbps)
-
-    def test_sweep_engines_bit_identical(self, key):
-        from repro.sweep.batch import run_cells_batched
-        from repro.sweep.worker import run_cell
-
-        spec = SweepSpec(
-            kind="transfer",
-            machines=(key,),
-            pairs=(("1", "64"), ("1", "1")),
-            styles=("buffer-packing",),
-            sizes=(4096, 131072),
-            rates="paper",
-        )
-        cells = spec.expand()
-        scalar = [run_cell(cell) for cell in cells]
-        batched = run_cells_batched(cells).rows
-        assert scalar == list(batched)

@@ -3,7 +3,7 @@
 The sweep's reproducibility obligation is absolute: the same
 :class:`~repro.sweep.SweepSpec` must merge to a **bit-identical**
 canonical payload no matter how the execution was sliced — worker
-count, shard size, shard submission order, batched or cold memos.
+count, shard size, shard submission order, shared or cold memos.
 These properties drive randomly generated specs through every
 execution strategy and compare SHA-256 digests of the canonical JSON.
 
@@ -153,10 +153,11 @@ class TestDeterministicMerge:
     @given(spec=transfer_specs(), collective=collective_specs())
     def test_batching_cannot_change_results(self, spec, collective):
         # Cold: every cell starts from empty memos, the pipeline and
-        # scheduled-congestion memos included.  Warm: they persist.
+        # scheduled-congestion memos included.  Warm: one in-process
+        # sweep shares them across the whole grid.
         for grid in (spec, collective):
-            cold = run_serial(grid, batched=False)
-            warm = run_serial(grid, batched=True)
+            cold = run_serial(grid)
+            warm = run_sweep(grid, workers=1)
             assert cold.canonical_json() == warm.canonical_json()
 
     @SLOW_SETTINGS

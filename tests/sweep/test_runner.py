@@ -1,4 +1,4 @@
-"""Runner strategies and worker batching: equality and bookkeeping.
+"""Runner strategies and worker memo sharing: equality and bookkeeping.
 
 These use ``rates="paper"`` grids — no simulator calibration — so the
 whole file stays fast; the simulated-rates equalities live in the
@@ -26,11 +26,6 @@ FAST_SPEC = SweepSpec(
 
 
 class TestStrategies:
-    def test_serial_batched_and_unbatched_agree(self):
-        a = run_serial(FAST_SPEC, batched=False)
-        b = run_serial(FAST_SPEC, batched=True)
-        assert a.canonical_json() == b.canonical_json()
-
     def test_inline_matches_serial(self):
         assert (
             run_sweep(FAST_SPEC, workers=1).digest()
@@ -161,7 +156,42 @@ class TestTracing:
         assert tracer.metrics.counters()["sweep.shards"] == 1
         (span,) = tracer.spans("shard")
         assert span.args["cells"] == 12
-        assert result.stats["batch_groups"] > 0
+        assert result.stats["shards"] == 1
+
+
+class TestMemoSharing:
+    def test_figure7_runs_each_cell_once_and_derives_one_table(
+        self, monkeypatch
+    ):
+        """The in-process sweep calls ``run_cell`` once per cell, in
+        canonical order, and the cells share one simulated T3D table —
+        the memo sharing the speed benchmark's batch ratio measures."""
+        from repro.machines.base import Machine
+        from repro.sweep import figure7_spec
+
+        run_cell = worker_module.run_cell
+        simulated_table = Machine.simulated_table
+        cell_ids = []
+        tables = []
+
+        def counting_run_cell(cell):
+            cell_ids.append(cell.cell_id)
+            return run_cell(cell)
+
+        def counting_simulated_table(machine, *args, **kwargs):
+            tables.append(machine.name)
+            return simulated_table(machine, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "run_cell", counting_run_cell)
+        monkeypatch.setattr(
+            Machine, "simulated_table", counting_simulated_table
+        )
+        worker_module.reset_memos()
+        spec = figure7_spec()
+        result = run_sweep(spec, workers=1)
+        assert cell_ids == [cell.cell_id for cell in spec.expand()]
+        assert len(result.rows) == 12
+        assert len(tables) == 1
 
 
 class TestWorkerHygiene:
